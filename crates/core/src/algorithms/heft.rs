@@ -71,7 +71,7 @@ impl Heft {
 
     /// [`Heft::run_eft_loop`] with a caller-owned [`EftContext`] — the
     /// batched path of [`Scheduler::schedule_many`] threads one context
-    /// (and thereby one arena checkout) through every instance of the
+    /// (and thereby one frontier buffer) through every instance of the
     /// batch. A context freshly `reset_for` the instance's system behaves
     /// exactly like a new one, so both entry points place identically.
     pub(crate) fn run_eft_loop_ctx(
@@ -121,11 +121,11 @@ impl Scheduler for Heft {
         sched
     }
 
-    /// Batched scheduling reusing one [`EftContext`] (one arena checkout,
-    /// one arrival-frontier buffer) across every instance. Each instance
-    /// still gets its own rank/order/schedule, and `reset_for` makes the
-    /// shared context indistinguishable from a fresh one, so each output
-    /// is bit-identical to the sequential `schedule_instance` call.
+    /// Batched scheduling reusing one [`EftContext`] (one arrival-frontier
+    /// buffer) across every instance. Each instance still gets its own
+    /// rank/order/schedule, and `reset_for` makes the shared context
+    /// indistinguishable from a fresh one, so each output is bit-identical
+    /// to the sequential `schedule_instance` call.
     fn schedule_many(&self, insts: &[ProblemInstance]) -> Vec<Schedule> {
         let mut ctx: Option<EftContext> = None;
         let mut out = Vec::with_capacity(insts.len());

@@ -134,9 +134,9 @@ impl Hoft {
         let np = sys.num_procs();
         let _span = hetsched_trace::span("eft_loop");
         let tracing = hetsched_trace::enabled();
-        // per-task EFT row, arena-recycled like the context's frontier
-        let mut starts = crate::arena::take_f64(np);
-        let mut fins = crate::arena::take_f64(np);
+        // per-task EFT row, reused across tasks like the context's frontier
+        let mut starts = vec![0.0; np];
+        let mut fins = vec![0.0; np];
         for (step, &t) in order.iter().enumerate().skip(from) {
             hetsched_trace::emit(|| hetsched_trace::Event::TaskSelected {
                 step: step as u64,
@@ -200,8 +200,6 @@ impl Hoft {
                 .insert(t, p, start, finish - start)
                 .expect("HOFT placement is conflict-free by construction");
         }
-        crate::arena::recycle_f64(starts);
-        crate::arena::recycle_f64(fins);
     }
 }
 

@@ -70,28 +70,14 @@ pub fn with_reference_engine<R>(f: impl FnOnce() -> R) -> R {
 /// each query; buffers are recycled across tasks. A context is tied to the
 /// processor count of the system it was built for; batch schedulers reuse
 /// one context across instances via [`Self::reset_for`].
-///
-/// The arrival-frontier buffer is checked out of the thread-local
-/// [`crate::arena::ScratchArena`] and recycled on drop, so on a resident
-/// worker thread every context after the first is allocation-free. This
-/// covers all the engine's execution modes at once: serve workers and
-/// `par::scoped_replay_pool` replicas construct their contexts on the
-/// threads that run them, and repair funnels through the same scheduling
-/// loop.
 #[derive(Debug)]
 pub struct EftContext {
     /// Dispatch to the naive reference implementations (captured from
     /// [`reference_engine_active`] at construction time).
     reference: bool,
     /// Per-processor data-ready frontier of the task last passed to
-    /// [`Self::data_ready_all`]. Arena-checked-out; recycled by `Drop`.
+    /// [`Self::data_ready_all`].
     ready: Vec<f64>,
-}
-
-impl Drop for EftContext {
-    fn drop(&mut self) {
-        crate::arena::recycle_f64(std::mem::take(&mut self.ready));
-    }
 }
 
 impl EftContext {
@@ -99,14 +85,14 @@ impl EftContext {
     pub fn new(sys: &System) -> Self {
         EftContext {
             reference: reference_engine_active(),
-            ready: crate::arena::take_f64(sys.num_procs()),
+            ready: vec![0.0; sys.num_procs()],
         }
     }
 
     /// Re-arm this context for another system, reusing its buffers —
     /// equivalent to dropping it and constructing `EftContext::new(sys)`,
-    /// without the arena round trip. The batched `schedule_many` loops
-    /// call this between instances.
+    /// without the reallocation. The batched `schedule_many` loops call
+    /// this between instances.
     pub fn reset_for(&mut self, sys: &System) {
         self.reference = reference_engine_active();
         self.ready.clear();

@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod algorithms;
-pub mod arena;
 pub mod compact;
 pub mod cost;
 pub mod delta;
@@ -101,7 +100,7 @@ pub trait Scheduler {
     /// sequential call, at every batch size (enforced by the cross-crate
     /// property tests). The default implementation *is* that loop;
     /// EFT-family schedulers override it to reuse one scratch context
-    /// (arrival frontier and arena buffers) across the whole batch, which
+    /// (its arrival-frontier buffer) across the whole batch, which
     /// is where batched serve traffic of many small DAGs wins: per-instance
     /// setup amortizes away while the scheduling math stays untouched.
     fn schedule_many(&self, insts: &[ProblemInstance]) -> Vec<Schedule> {

@@ -51,6 +51,30 @@ fn random_dag(n: usize, edge_prob: f64, seed: u64) -> Dag {
     b.build().unwrap()
 }
 
+/// Every gap query on processor 0 of `s` answers bit-identically through
+/// the indexed search, the reference scan, and the reference engine.
+fn gap_queries_match_scan(s: &Schedule, queries: &[(u16, u8, u8)]) -> TestCaseResult {
+    for &(r, d, j) in queries {
+        let ready = r as f64 * 0.5 + j as f64 * 0.3e-9;
+        let dur = d as f64 * 0.5 + j as f64 * 0.25e-9;
+        let fast = s.earliest_start(ProcId(0), ready, dur, true);
+        let scan = Schedule::earliest_start_scan(s.slots(ProcId(0)), ready, dur);
+        prop_assert_eq!(
+            fast.to_bits(),
+            scan.to_bits(),
+            "indexed {} vs scan {} at ready={} dur={}",
+            fast,
+            scan,
+            ready,
+            dur
+        );
+        let reference =
+            crate::engine::with_reference_engine(|| s.earliest_start(ProcId(0), ready, dur, true));
+        prop_assert_eq!(fast.to_bits(), reference.to_bits());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -154,30 +178,54 @@ proptest! {
     #[test]
     fn cached_gap_search_is_bit_identical_to_scan(
         grid in proptest::collection::vec((0u16..200, 1u8..30), 0..24),
+        trials in proptest::collection::vec(
+            (proptest::collection::vec((0u16..200, 0u8..30), 1..5), 0u8..2),
+            0..6,
+        ),
         queries in proptest::collection::vec((0u16..220, 0u8..40, 0u8..4), 1..24),
     ) {
         // Adversarial timelines: starts/durations snapped to a coarse grid
         // with sub-TIME_EPS jitter, so slot boundaries collide exactly at
-        // the schedule's epsilon resolution — the regime where the cached
+        // the schedule's epsilon resolution — the regime where the indexed
         // search could plausibly diverge from the scan by one rounding bit.
-        let mut s = Schedule::new(64, 1);
-        for (i, &(start, dur)) in grid.iter().enumerate() {
+        // The index is checked after every kind of timeline mutation:
+        // inserts, trials rolled back or committed, a bulk replay and a
+        // serde round trip.
+        let place = |s: &mut Schedule, t: u32, (start, dur): (u16, u8)| {
             let st = start as f64 * 0.5 + (start % 3) as f64 * 0.4e-9;
-            let d = dur as f64 * 0.5;
             // overlapping placements are simply skipped
-            let _ = s.insert(TaskId(i as u32), ProcId(0), st, d);
+            let _ = s.insert(TaskId(t), ProcId(0), st, dur as f64 * 0.5);
+        };
+        let mut s = Schedule::new(64, 1);
+        let mut next = 0u32;
+        for &slot in &grid {
+            place(&mut s, next, slot);
+            next += 1;
         }
-        for &(r, d, j) in &queries {
-            let ready = r as f64 * 0.5 + j as f64 * 0.3e-9;
-            let dur = d as f64 * 0.5 + j as f64 * 0.25e-9;
-            let fast = s.earliest_start(ProcId(0), ready, dur, true);
-            let scan = Schedule::earliest_start_scan(s.slots(ProcId(0)), ready, dur);
-            prop_assert_eq!(fast.to_bits(), scan.to_bits(),
-                "cached {} vs scan {} at ready={} dur={}", fast, scan, ready, dur);
-            let reference = crate::engine::with_reference_engine(
-                || s.earliest_start(ProcId(0), ready, dur, true));
-            prop_assert_eq!(fast.to_bits(), reference.to_bits());
+        gap_queries_match_scan(&s, &queries)?;
+        for (slots, commit) in &trials {
+            s.begin_trial();
+            for &slot in slots {
+                place(&mut s, next, slot);
+                next += 1;
+            }
+            gap_queries_match_scan(&s, &queries)?;
+            if *commit == 1 {
+                s.commit_trial();
+            } else {
+                s.rollback_trial();
+            }
+            gap_queries_match_scan(&s, &queries)?;
         }
+        let placed: Vec<TaskId> = (0..next)
+            .map(TaskId)
+            .filter(|&t| s.assignment(t).is_some())
+            .collect();
+        let mut replayed = Schedule::new(64, 1);
+        prop_assert!(replayed.replay_prefix(&s, &placed).is_ok());
+        gap_queries_match_scan(&replayed, &queries)?;
+        let back: Schedule = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
+        gap_queries_match_scan(&back, &queries)?;
     }
 
     #[test]

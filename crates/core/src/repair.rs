@@ -25,15 +25,17 @@
 //! parent's per-processor slot lists are filtered down to the replayed
 //! prefix — provably the same vectors a one-at-a-time
 //! [`Schedule::insert_with_finish`](crate::Schedule::insert_with_finish)
-//! loop would build — and each gap-search cache is rebuilt once, so
-//! replaying `k` placements costs O(slots) instead of one O(len) cache
-//! rebuild per insertion. If any replayed placement fails validation, the
-//! partially built schedule is discarded and the repair degrades to a
-//! plain from-scratch run — still bit-identical, just not incremental.
+//! loop would build — and the kept slots are appended in start order,
+//! each append updating the timeline's gap index in O(1), so replaying
+//! `k` placements costs O(slots) instead of one O(len) shift and reindex
+//! per mid-timeline insertion. If any replayed placement fails
+//! validation, the partially built schedule is discarded and the repair
+//! degrades to a plain from-scratch run — still bit-identical, just not
+//! incremental.
 //!
 //! The shape checks, the split-point computation, and the replay-resume
-//! scaffolding are shared between the algorithms ([`replay_viable`],
-//! [`split_point`], [`replay_then`] below); each algorithm contributes
+//! scaffolding are shared between the algorithms (`replay_viable`,
+//! `split_point`, `replay_then` below); each algorithm contributes
 //! only its priority computation, its dirty predicate, and its placement
 //! loop.
 

@@ -4,7 +4,7 @@
 //! Timelines are stored struct-of-arrays ([`Timeline`]): parallel
 //! `starts`/`finishes`/`tasks`/`dups` vectors instead of a `Vec<Slot>`.
 //! The gap search ([`Schedule::earliest_start`]) and the bulk replay of
-//! schedule repair ([`Schedule::replay_prefix`]) spend their time
+//! schedule repair (`Schedule::replay_prefix`) spend their time
 //! streaming start/finish times; keeping those as contiguous `f64` arrays
 //! halves the bytes those scans touch (no interleaved task ids or
 //! duplicate flags) and lets `partition_point` binary-search a plain
@@ -12,6 +12,12 @@
 //! and `Timeline::iter` materialize slots by value on demand — and the
 //! serialized wire format is the old array-of-slot-objects, byte for
 //! byte, via the manual serde impls below.
+//!
+//! Each timeline also keeps the gap search's index — the running maximum
+//! of finishes and of idle gaps, one entry per slot — and its three
+//! mutators recompute that index from the mutated slot onward, so the
+//! index can never be stale, and a deserialized timeline (rebuilt through
+//! `push`) has one too.
 
 use serde::{Deserialize, Serialize};
 
@@ -43,23 +49,37 @@ pub struct Slot {
 /// One processor's occupied intervals, sorted by start time, stored
 /// struct-of-arrays.
 ///
-/// The four vectors always have equal length; index `i` across them is
+/// All six vectors always have equal length; index `i` across them is
 /// slot `i`. Mutation goes through the crate-internal `push`/`insert`/
 /// `remove`, which keep the arrays in lockstep; readers use the slice
 /// accessors ([`Timeline::starts`], [`Timeline::finishes`]) on hot paths
 /// and the [`Slot`]-view API ([`Timeline::get`], [`Timeline::iter`])
 /// everywhere else.
+///
+/// The last two vectors are the gap search's index, derived from the
+/// slot times by `fill_gap_index`:
+///
+/// * `prefix_max[i]` = running maximum of `finishes[..=i]` — exactly the
+///   `prev_finish` value the reference scan holds after processing slot
+///   `i` (finishes are *not* monotone: slots may overlap boundaries by up
+///   to [`TIME_EPS`], so the last finish is not necessarily the largest).
+/// * `max_gap[i]` = running maximum, floored at 0, of
+///   `fl(starts[j] + TIME_EPS) - prefix_max[j-1]` over `j <= i` (with
+///   `prefix_max[-1] = 0`): an upper bound on every idle interval before
+///   slot `i + 1`.
 #[derive(Debug, Default, PartialEq)]
 pub struct Timeline {
     tasks: Vec<TaskId>,
     starts: Vec<f64>,
     finishes: Vec<f64>,
     dups: Vec<bool>,
+    prefix_max: Vec<f64>,
+    max_gap: Vec<f64>,
 }
 
-/// Manual so that `clone_from` recycles the four vectors' allocations —
+/// Manual so that `clone_from` recycles the six vectors' allocations —
 /// the derive would fall back to `*self = source.clone()`, which
-/// re-allocates all four. Snapshot-heavy consumers (the branch-and-bound
+/// re-allocates them all. Snapshot-heavy consumers (the branch-and-bound
 /// search clones a `Schedule` per branch node) depend on this to keep the
 /// struct-of-arrays split from multiplying their allocation count.
 impl Clone for Timeline {
@@ -69,6 +89,8 @@ impl Clone for Timeline {
             starts: self.starts.clone(),
             finishes: self.finishes.clone(),
             dups: self.dups.clone(),
+            prefix_max: self.prefix_max.clone(),
+            max_gap: self.max_gap.clone(),
         }
     }
 
@@ -77,6 +99,36 @@ impl Clone for Timeline {
         self.starts.clone_from(&source.starts);
         self.finishes.clone_from(&source.finishes);
         self.dups.clone_from(&source.dups);
+        self.prefix_max.clone_from(&source.prefix_max);
+        self.max_gap.clone_from(&source.max_gap);
+    }
+}
+
+/// Recompute entries `from..` of a timeline's gap index from its slot
+/// times, seeded with the entries at `from - 1` — one pass streaming
+/// `starts` and `finishes` in lockstep. With `from = 0` it is a
+/// from-scratch rebuild.
+fn fill_gap_index(
+    starts: &[f64],
+    finishes: &[f64],
+    from: usize,
+    prefix_max: &mut [f64],
+    max_gap: &mut [f64],
+) {
+    let (mut prev, mut widest) = match from {
+        0 => (0.0f64, 0.0f64),
+        _ => (prefix_max[from - 1], max_gap[from - 1]),
+    };
+    let slots = starts[from..].iter().zip(&finishes[from..]);
+    let index = prefix_max[from..].iter_mut().zip(&mut max_gap[from..]);
+    for ((&start, &finish), (pm, mg)) in slots.zip(index) {
+        let gap = (start + TIME_EPS) - prev;
+        if gap > widest {
+            widest = gap;
+        }
+        prev = prev.max(finish);
+        *pm = prev;
+        *mg = widest;
     }
 }
 
@@ -147,13 +199,15 @@ impl Timeline {
         self.finishes.last().copied().unwrap_or(0.0)
     }
 
-    /// Reserve capacity for exactly `additional` more slots in all four
+    /// Reserve capacity for exactly `additional` more slots in all six
     /// arrays.
     fn reserve_exact(&mut self, additional: usize) {
         self.tasks.reserve_exact(additional);
         self.starts.reserve_exact(additional);
         self.finishes.reserve_exact(additional);
         self.dups.reserve_exact(additional);
+        self.prefix_max.reserve_exact(additional);
+        self.max_gap.reserve_exact(additional);
     }
 
     /// Append a slot (caller guarantees start-order).
@@ -162,6 +216,7 @@ impl Timeline {
         self.starts.push(s.start);
         self.finishes.push(s.finish);
         self.dups.push(s.duplicate);
+        self.reindex_from(self.len() - 1);
     }
 
     /// Insert a slot at index `i`, shifting the rest right.
@@ -170,16 +225,55 @@ impl Timeline {
         self.starts.insert(i, s.start);
         self.finishes.insert(i, s.finish);
         self.dups.insert(i, s.duplicate);
+        self.reindex_from(i);
     }
 
     /// Remove and return the slot at index `i`, shifting the rest left.
     fn remove(&mut self, i: usize) -> Slot {
-        Slot {
+        let s = Slot {
             task: self.tasks.remove(i),
             start: self.starts.remove(i),
             finish: self.finishes.remove(i),
             duplicate: self.dups.remove(i),
-        }
+        };
+        self.reindex_from(i);
+        s
+    }
+
+    /// Bring the gap index back in step after a mutation at slot `from`:
+    /// resize it to the slot count and recompute every entry from `from`
+    /// to the end. Entries before `from` depend only on the untouched
+    /// slots before it, so they stay as they are.
+    fn reindex_from(&mut self, from: usize) {
+        let len = self.len();
+        self.prefix_max.resize(len, 0.0);
+        self.max_gap.resize(len, 0.0);
+        fill_gap_index(
+            &self.starts,
+            &self.finishes,
+            from,
+            &mut self.prefix_max,
+            &mut self.max_gap,
+        );
+        debug_assert!(
+            self.gap_index_matches_rebuild(),
+            "the kept gap index must equal a from-scratch rebuild"
+        );
+    }
+
+    /// Whether the kept gap index is bit-equal to one rebuilt from scratch.
+    fn gap_index_matches_rebuild(&self) -> bool {
+        let mut prefix_max = vec![0.0; self.len()];
+        let mut max_gap = vec![0.0; self.len()];
+        fill_gap_index(
+            &self.starts,
+            &self.finishes,
+            0,
+            &mut prefix_max,
+            &mut max_gap,
+        );
+        let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        same(&prefix_max, &self.prefix_max) && same(&max_gap, &self.max_gap)
     }
 }
 
@@ -296,31 +390,16 @@ pub struct Schedule {
     primary: Vec<Option<(ProcId, f64, f64)>>,
     /// Per task: every copy as (proc, finish), primary included.
     copies: Vec<Vec<(ProcId, f64)>>,
-    /// Per-processor gap-search acceleration structure. Derived data only —
-    /// kept off the wire (so the serialized format is unchanged) and rebuilt
-    /// lazily: a deserialized schedule simply has an empty cache and every
-    /// query falls back to the full scan.
-    #[serde(default, skip_serializing_if = "skip_cache")]
-    cache: Vec<TimelineCache>,
     /// Undo log of the active trial (see [`Schedule::begin_trial`]); `None`
     /// outside a trial, so mutation off the trial path stays log-free.
-    /// Ephemeral bookkeeping — always kept off the wire, like `cache`.
+    /// Ephemeral bookkeeping — always kept off the wire.
     #[serde(default, skip_serializing_if = "skip_trial")]
     trial: Option<Vec<TrialOp>>,
-    /// Per-processor mutation counter. Every timeline mutation (insert or
-    /// trial rollback) bumps the processor's epoch, and a rebuilt
-    /// [`TimelineCache`] records the epoch it was built at — the fast gap
-    /// search only accepts a cache stamped with the *current* epoch, so a
-    /// cache can never be mistaken for fresh just because the timeline
-    /// happens to have the same length again. Derived data, off the wire
-    /// like `cache`.
-    #[serde(default, skip_serializing_if = "skip_epoch")]
-    epoch: Vec<u64>,
 }
 
 /// Manual for the same reason as [`Timeline`]'s: `clone_from` must
-/// recycle every nested allocation (timelines, per-task copy lists,
-/// cache prefix arrays) instead of re-allocating them. `Vec::clone_from`
+/// recycle every nested allocation (timelines with their gap indexes,
+/// per-task copy lists) instead of re-allocating them. `Vec::clone_from`
 /// reuses its own buffer *and* `clone_from`s each element in place, so
 /// the recursion bottoms out with zero allocations once a recycled
 /// schedule has seen its capacity high-water mark.
@@ -331,9 +410,7 @@ impl Clone for Schedule {
             timelines: self.timelines.clone(),
             primary: self.primary.clone(),
             copies: self.copies.clone(),
-            cache: self.cache.clone(),
             trial: self.trial.clone(),
-            epoch: self.epoch.clone(),
         }
     }
 
@@ -342,9 +419,7 @@ impl Clone for Schedule {
         self.timelines.clone_from(&source.timelines);
         self.primary.clone_from(&source.primary);
         self.copies.clone_from(&source.copies);
-        self.cache.clone_from(&source.cache);
         self.trial.clone_from(&source.trial);
-        self.epoch.clone_from(&source.epoch);
     }
 }
 
@@ -367,86 +442,6 @@ enum TrialOp {
     Primary { task: TaskId },
 }
 
-/// `skip_serializing_if` predicate for [`Schedule::cache`]: always skip.
-#[allow(clippy::ptr_arg)]
-fn skip_cache(_: &Vec<TimelineCache>) -> bool {
-    true
-}
-
-/// `skip_serializing_if` predicate for [`Schedule::epoch`]: always skip.
-#[allow(clippy::ptr_arg)]
-fn skip_epoch(_: &Vec<u64>) -> bool {
-    true
-}
-
-/// Derived per-timeline data that lets [`Schedule::earliest_start`] answer
-/// most insertion queries without scanning the whole slot list. Invariant
-/// (whenever `prefix_max.len() == timeline.len()`):
-///
-/// * `prefix_max[i]` = running maximum of `finishes[..=i]` — exactly the
-///   `prev_finish` value the naive scan holds after processing slot `i`
-///   (finishes are *not* monotone: slots may overlap boundaries by up to
-///   [`TIME_EPS`], so the last finish is not necessarily the largest).
-/// * `max_gap_ub` ≥ `fl(starts[i] + TIME_EPS) - prefix_max[i-1]` for
-///   every `i` (with `prefix_max[-1] = 0`): an upper bound on every idle
-///   interval the scan could ever place work into.
-/// * `scale` = maximum slot finish, used to pad `max_gap_ub` comparisons by
-///   a margin that provably dominates all rounding error.
-#[derive(Debug, Default, Serialize, Deserialize)]
-struct TimelineCache {
-    prefix_max: Vec<f64>,
-    max_gap_ub: f64,
-    scale: f64,
-    /// Value of `Schedule::epoch[p]` when this cache was last rebuilt. A
-    /// cache is valid only while the stamp matches the live epoch — a
-    /// length match alone is not proof of freshness (a rolled-back trial
-    /// can restore a same-length timeline with different slot contents).
-    stamp: u64,
-}
-
-/// Manual so `clone_from` keeps `prefix_max`'s buffer (see [`Timeline`]).
-impl Clone for TimelineCache {
-    fn clone(&self) -> Self {
-        TimelineCache {
-            prefix_max: self.prefix_max.clone(),
-            max_gap_ub: self.max_gap_ub,
-            scale: self.scale,
-            stamp: self.stamp,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.prefix_max.clone_from(&source.prefix_max);
-        self.max_gap_ub = source.max_gap_ub;
-        self.scale = source.scale;
-        self.stamp = source.stamp;
-    }
-}
-
-impl TimelineCache {
-    /// Rebuild from a timeline (O(len)). The pass streams the `starts`
-    /// and `finishes` arrays in lockstep — two contiguous `f64` reads per
-    /// slot, nothing else.
-    fn rebuild(&mut self, tl: &Timeline) {
-        self.prefix_max.clear();
-        self.prefix_max.reserve(tl.len());
-        self.max_gap_ub = 0.0;
-        self.scale = 0.0;
-        let mut prev = 0.0f64;
-        for (&start, &finish) in tl.starts.iter().zip(&tl.finishes) {
-            let gap = (start + TIME_EPS) - prev;
-            if gap > self.max_gap_ub {
-                self.max_gap_ub = gap;
-            }
-            prev = prev.max(finish);
-            self.prefix_max.push(prev);
-            if finish > self.scale {
-                self.scale = finish;
-            }
-        }
-    }
-}
-
 impl Schedule {
     /// Empty schedule for `n_tasks` tasks on `n_procs` processors.
     ///
@@ -460,22 +455,8 @@ impl Schedule {
             timelines: vec![Timeline::default(); n_procs],
             primary: vec![None; n_tasks],
             copies: vec![Vec::new(); n_tasks],
-            cache: vec![TimelineCache::default(); n_procs],
             trial: None,
-            epoch: vec![0; n_procs],
         }
-    }
-
-    /// Bump processor `p`'s mutation epoch and return the new value.
-    /// Deserialized schedules start with an empty epoch vector; it is grown
-    /// on demand so they stay mutable (their cache vector is empty anyway,
-    /// so every query falls back to the reference scan).
-    fn bump_epoch(&mut self, p: usize) -> u64 {
-        if self.epoch.len() <= p {
-            self.epoch.resize(p + 1, 0);
-        }
-        self.epoch[p] += 1;
-        self.epoch[p]
     }
 
     /// Number of tasks this schedule is sized for.
@@ -609,40 +590,25 @@ impl Schedule {
             hetsched_trace::counters(|c| c.append_queries += 1);
             return ready.max(self.proc_finish(p));
         }
-        let out = match self.cache.get(p.index()) {
-            // The cache is absent after deserialization (it is never on the
-            // wire) — fall back to the reference scan. When present it must
-            // carry the stamp of the *current* mutation epoch (every
-            // timeline mutation bumps the epoch and restamps the rebuilt
-            // cache), so a stale cache whose timeline merely has the same
-            // length again is rejected here, not just by the debug assert.
-            // In reference-engine mode (conformance testing) the scan is
-            // forced.
-            Some(c)
-                if c.stamp == self.epoch.get(p.index()).copied().unwrap_or(0)
-                    && c.prefix_max.len() == tl.len()
-                    && !crate::engine::reference_engine_active() =>
-            {
-                Self::earliest_start_cached(tl, c, ready, dur)
-            }
-            _ => {
-                hetsched_trace::counters(|c| c.gap_full_scans += 1);
-                return Self::earliest_start_scan(tl, ready, dur);
-            }
-        };
+        if crate::engine::reference_engine_active() {
+            // conformance testing forces the reference scan
+            hetsched_trace::counters(|c| c.gap_full_scans += 1);
+            return Self::earliest_start_scan(tl, ready, dur);
+        }
+        let out = Self::earliest_start_indexed(tl, ready, dur);
         debug_assert_eq!(
             out.to_bits(),
             Self::earliest_start_scan(tl, ready, dur).to_bits(),
-            "cached gap search must be bit-identical to the reference scan"
+            "indexed gap search must be bit-identical to the reference scan"
         );
         out
     }
 
     /// Reference insertion-policy gap search: linear scan over the whole
-    /// timeline. This is the semantic definition the cached variant must
-    /// reproduce bit-for-bit; it is kept both as the deserialization
-    /// fallback and as the oracle for the conformance/property tests.
-    /// The scan touches only the two contiguous time arrays.
+    /// timeline. This is the semantic definition the indexed search must
+    /// reproduce bit-for-bit; it is kept as the reference-engine path and
+    /// as the oracle for the debug assertion and the property tests. The
+    /// scan touches only the two contiguous time arrays.
     pub(crate) fn earliest_start_scan(tl: &Timeline, ready: f64, dur: f64) -> f64 {
         let mut prev_finish = 0.0f64;
         for (&start, &finish) in tl.starts.iter().zip(&tl.finishes) {
@@ -655,16 +621,17 @@ impl Schedule {
         ready.max(prev_finish)
     }
 
-    /// Accelerated gap search. Exactly equivalent to
-    /// [`Self::earliest_start_scan`] (same returned bits):
+    /// Insertion-policy gap search over the kept index. Exactly equivalent
+    /// to [`Self::earliest_start_scan`] (same returned bits):
     ///
     /// 1. **Fast reject.** The scan returns early at slot `i` only if
     ///    `fl(candidate + dur) <= fl(start_i + TIME_EPS)` with
     ///    `candidate >= prefix_max[i-1]`, which (allowing for rounding of
-    ///    the two additions and the cached subtraction, all bounded by
-    ///    `3·scale·2⁻⁵³`) forces `dur <= max_gap_ub + (scale+1)·1e-12`.
-    ///    When `dur` exceeds that padded bound no gap can accept it, and
-    ///    the scan's fall-through answer is `ready.max(prefix_max.last())`.
+    ///    the two additions and the indexed subtraction, all bounded by
+    ///    `3·scale·2⁻⁵³`, where `scale = prefix_max.last()` is the largest
+    ///    finish) forces `dur <= max_gap.last() + (scale+1)·1e-12`. When
+    ///    `dur` exceeds that padded bound no gap can accept it, and the
+    ///    scan's fall-through answer is `ready.max(scale)`.
     /// 2. **Prefix skip.** For any slot with `fl(start + TIME_EPS) <
     ///    fl(ready + dur)` the early-return test is false regardless of
     ///    `prev_finish` (since `candidate >= ready`), so the scan is
@@ -672,18 +639,18 @@ impl Schedule {
     ///    seeding `prev_finish` from the prefix maximum — the exact value
     ///    the naive loop would hold there. The `partition_point` binary
     ///    search runs directly on the contiguous `starts` array.
-    fn earliest_start_cached(tl: &Timeline, c: &TimelineCache, ready: f64, dur: f64) -> f64 {
-        let Some(&last_max) = c.prefix_max.last() else {
+    fn earliest_start_indexed(tl: &Timeline, ready: f64, dur: f64) -> f64 {
+        let (Some(&scale), Some(&max_gap)) = (tl.prefix_max.last(), tl.max_gap.last()) else {
             return ready; // empty timeline
         };
-        if dur > c.max_gap_ub + (c.scale + 1.0) * 1e-12 {
+        if dur > max_gap + (scale + 1.0) * 1e-12 {
             hetsched_trace::counters(|k| k.gap_fast_rejects += 1);
-            return ready.max(last_max);
+            return ready.max(scale);
         }
         hetsched_trace::counters(|k| k.gap_cached_searches += 1);
         let rd = ready + dur;
         let lo = tl.starts.partition_point(|&s| s + TIME_EPS < rd);
-        let mut prev_finish = if lo == 0 { 0.0 } else { c.prefix_max[lo - 1] };
+        let mut prev_finish = if lo == 0 { 0.0 } else { tl.prefix_max[lo - 1] };
         for (&start, &finish) in tl.starts[lo..].iter().zip(&tl.finishes[lo..]) {
             let candidate = ready.max(prev_finish);
             if candidate + dur <= start + TIME_EPS {
@@ -757,10 +724,11 @@ impl Schedule {
     ///
     /// Equivalent to calling [`Schedule::insert_with_finish`] once per task
     /// in rank order, but the per-processor timelines are assembled in one
-    /// pass over the parent's slot lists and each gap-search cache is
-    /// rebuilt once at the end — O(slots) total instead of one O(len)
-    /// cache rebuild per insertion, which is what makes replaying nearly
-    /// the whole schedule cheaper than recomputing it. Each destination
+    /// pass over the parent's slot lists, appending every kept slot in
+    /// start order. An append updates the gap index in O(1), so the replay
+    /// is O(slots) total instead of one O(len) shift and reindex per
+    /// mid-timeline insertion, which is what makes replaying nearly the
+    /// whole schedule cheaper than recomputing it. Each destination
     /// timeline reserves its exact kept-slot count before the copy, so the
     /// bulk replay performs one allocation per array, never a growth
     /// doubling mid-pass.
@@ -837,15 +805,6 @@ impl Schedule {
                     tl.push(s);
                     placed += 1;
                 }
-            }
-            let ep = self.bump_epoch(pi);
-            if let Some(c) = self.cache.get_mut(pi) {
-                c.rebuild(&self.timelines[pi]);
-                c.stamp = ep;
-                debug_assert_eq!(
-                    c.stamp, self.epoch[pi],
-                    "rebuilt gap cache must carry the live mutation epoch"
-                );
             }
         }
         // Catches a parent whose timeline slots disagree with its primary
@@ -947,17 +906,6 @@ impl Schedule {
                 duplicate,
             },
         );
-        // Keep the gap-search cache in lockstep. A mid-timeline insert
-        // invalidates every prefix maximum (and gap) at or after `pos`, and
-        // the `insert` above is already O(len), so a full O(len) rebuild
-        // keeps the same asymptotics with straight-line code. The rebuilt
-        // cache is stamped with the new mutation epoch; schedules without a
-        // cache (deserialized) stay cacheless — queries scan.
-        let ep = self.bump_epoch(p.index());
-        if let Some(c) = self.cache.get_mut(p.index()) {
-            c.rebuild(&self.timelines[p.index()]);
-            c.stamp = ep;
-        }
         self.copies[t.index()].push((p, finish));
         if let Some(log) = &mut self.trial {
             log.push(TrialOp::Slot {
@@ -987,8 +935,8 @@ impl Schedule {
     }
 
     /// Undo every mutation since [`Schedule::begin_trial`], restoring the
-    /// schedule bit-for-bit (timelines, assignments, copies, and the
-    /// gap-search cache).
+    /// schedule bit-for-bit (timelines with their gap indexes,
+    /// assignments, and copies).
     ///
     /// # Panics
     /// Panics if no trial is active.
@@ -1006,17 +954,6 @@ impl Schedule {
                     let removed = self.timelines[proc.index()].remove(pos);
                     debug_assert_eq!(removed.task, task);
                     self.copies[task.index()].pop();
-                    // A rollback is a timeline mutation like any other: bump
-                    // the epoch and restamp the rebuilt cache, so a cache
-                    // from before the trial can never be accepted against
-                    // the restored (same-length, different-content)
-                    // timeline. Deserialized (cacheless) schedules stay
-                    // cacheless.
-                    let ep = self.bump_epoch(proc.index());
-                    if let Some(c) = self.cache.get_mut(proc.index()) {
-                        c.rebuild(&self.timelines[proc.index()]);
-                        c.stamp = ep;
-                    }
                 }
             }
         }
@@ -1227,15 +1164,17 @@ mod tests {
             json.contains(r#""timelines":[[{"task":0,"start":0.0,"finish":2.0,"duplicate":false}"#),
             "{json}"
         );
-        // round trip restores every slot (and the ephemeral cache/epoch
-        // stay off the wire)
+        // round trip restores every slot (and the derived gap index stays
+        // off the wire, rebuilt on load)
         assert!(!json.contains("prefix_max"), "{json}");
+        assert!(!json.contains("max_gap"), "{json}");
         assert!(!json.contains("epoch"), "{json}");
         let back: Schedule = serde_json::from_str(&json).unwrap();
         assert_eq!(back.slots(ProcId(0)).len(), 3);
         for k in 0..3 {
             assert_eq!(back.slots(ProcId(0)).get(k), s.slots(ProcId(0)).get(k));
         }
+        assert_eq!(back.slots(ProcId(0)), s.slots(ProcId(0)));
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
@@ -1260,7 +1199,7 @@ mod tests {
         assert_eq!(s.num_scheduled(), 2);
         assert_eq!(s.num_duplicates(), 0);
         assert!(s.copies(TaskId(2)).is_empty());
-        // gap-search cache restored in lockstep too
+        // gap index restored in lockstep too
         assert_eq!(
             s.earliest_start(ProcId(0), 0.0, 3.0, true).to_bits(),
             start_before.to_bits()
@@ -1273,7 +1212,7 @@ mod tests {
     fn trial_round_trip_to_equal_length_keeps_gap_search_fresh() {
         // Round-trip a trial back to a timeline of the *same length* as the
         // trial's peak, with different slot contents: the gap search must
-        // answer from the live timeline, never from a cache built during
+        // answer from the live timeline, never from an index built during
         // the trial.
         let mut s = Schedule::new(4, 1);
         s.insert(TaskId(0), ProcId(0), 0.0, 2.0).unwrap();
@@ -1291,28 +1230,6 @@ mod tests {
         let want = Schedule::earliest_start_scan(s.slots(ProcId(0)), 0.0, 3.0);
         assert_eq!(got.to_bits(), want.to_bits());
         assert_eq!(got, 2.0, "the [2, 6) gap must be rediscovered");
-    }
-
-    #[test]
-    fn stale_cache_with_matching_length_is_rejected_by_epoch_stamp() {
-        let mut s = Schedule::new(4, 1);
-        s.insert(TaskId(0), ProcId(0), 0.0, 2.0).unwrap();
-        s.insert(TaskId(1), ProcId(0), 6.0, 1.0).unwrap();
-        // Fabricate the release-mode hazard directly: a cache whose
-        // prefix-max has the right *length* but stale contents (it claims
-        // the timeline is gap-free) and an outdated stamp. Length-only
-        // validation would accept it and fast-reject the [2, 6) gap.
-        s.cache[0] = TimelineCache {
-            prefix_max: vec![7.0, 7.0],
-            max_gap_ub: 0.0,
-            scale: 7.0,
-            stamp: s.epoch[0].wrapping_sub(1),
-        };
-        assert_eq!(s.earliest_start(ProcId(0), 0.0, 3.0, true), 2.0);
-        // A fresh mutation restamps the cache; the fast path works again.
-        s.insert(TaskId(2), ProcId(0), 9.0, 1.0).unwrap();
-        assert_eq!(s.cache[0].stamp, s.epoch[0]);
-        assert_eq!(s.earliest_start(ProcId(0), 0.0, 3.0, true), 2.0);
     }
 
     #[test]

@@ -482,7 +482,7 @@ fn serve_portfolio_entries(cfg: &Config, reps: usize) -> Vec<BenchEntry> {
 /// The batched-scheduling section `Scheduler::schedule_many` targets: a
 /// stream of small (n = 50) random DAGs — the high-QPS serve regime —
 /// scheduled by HEFT as N sequential `schedule_instance` calls versus one
-/// `schedule_many` call (one context, one arena checkout threaded through
+/// `schedule_many` call (one context, one frontier buffer threaded through
 /// the whole stream). The same comparison runs through the daemon: N
 /// individual `schedule` request lines versus one `schedule_many` line,
 /// both against a fresh daemon with cold caches, so the serve pair prices

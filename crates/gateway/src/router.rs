@@ -54,11 +54,14 @@ const SHARD_GRACE: Duration = Duration::from_millis(250);
 /// Deadline for control-plane fan-outs (per-shard stats, shutdown).
 const CONTROL_DEADLINE: Duration = Duration::from_secs(2);
 /// Capacity of the gateway's raw-byte hot-line cache. Unlike the shard's
-/// wire cache (coupled to its memo evictions), the gateway has no view
-/// into shard cache churn, so this stays a small fixed window over the
+/// wire cache (coupled to its memo evictions), the gateway sees shard
+/// cache churn only through `unknown_parent` replies (see
+/// `Router::forget_problem`), so this stays a small fixed window over the
 /// hottest request lines; a stale entry can at worst re-serve a reply
 /// whose schedule bytes are deterministic anyway (see `handle_line`).
 const WIRE_CACHE_CAPACITY: usize = 256;
+/// Prefix of a shard's reply to a `patch` whose parent it no longer holds.
+const UNKNOWN_PARENT_REPLY: &str = r#"{"status":"error","message":"unknown_parent"#;
 
 /// The gateway routing core. Cheap to share behind an `Arc`; every public
 /// method takes `&self`.
@@ -352,7 +355,7 @@ impl Router {
             _ => unreachable!("route_inner() called with a control op"),
         };
 
-        let (home, key) = match req {
+        let (home, key, parent) = match req {
             Request::Patch {
                 parent,
                 algorithm,
@@ -374,6 +377,7 @@ impl Router {
                 (
                     (parent_fp % self.backends.len() as u64) as usize,
                     patch_dedup_key(parent_fp, algorithm, deltas, options),
+                    Some(parent_fp),
                 )
             }
             _ => {
@@ -412,15 +416,32 @@ impl Router {
                     (ProblemInstance::content_fingerprint(&dag, &sys) % self.backends.len() as u64)
                         as usize,
                     dedup_key(req, &dag, &sys, &alg_names, options),
+                    None,
                 )
             }
         };
         scratch.admission_us = scratch.off(Instant::now());
         scratch.span("admission", 0, scratch.admission_us, "");
 
-        self.coalesce(key, deadline, deadline_at, scratch, |router, scratch| {
+        let reply = self.coalesce(key, deadline, deadline_at, scratch, |router, scratch| {
             router.lead(req, home, deadline_at, scratch)
-        })
+        });
+        if let Some(parent_fp) = parent {
+            if reply.starts_with(UNKNOWN_PARENT_REPLY) {
+                self.forget_problem(parent_fp);
+            }
+        }
+        reply
+    }
+
+    /// Drop every wire-cache reply that carries problem `fp`. The home
+    /// shard has evicted that problem from its instance cache (it just
+    /// answered `unknown_parent`), and the client's remedy is to re-send
+    /// the problem as a `schedule`: that re-send must reach the shard to
+    /// re-seed it, which a gateway wire hit would prevent.
+    fn forget_problem(&self, fp: u64) {
+        let needle = format!("\"problem\":\"{fp:016x}\"");
+        self.wire.lock().retain(|reply| !reply.contains(&needle));
     }
 
     /// Single-flight coalescing around a leader body: followers wait for

@@ -145,6 +145,21 @@ impl<V> LruCache<V> {
         self.push_front(idx);
         evicted
     }
+
+    /// Drop every entry whose value fails `keep`; survivors keep their
+    /// recency order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&V) -> bool) {
+        let mut cur = self.head;
+        while cur != NONE {
+            let next = self.slots[cur].next;
+            if !keep(&self.slots[cur].value) {
+                self.unlink(cur);
+                self.map.remove(&self.slots[cur].key);
+                self.free.push(cur);
+            }
+            cur = next;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -195,6 +210,24 @@ mod tests {
         c.insert(3, "c"); // evicts 2, not 1
         assert_eq!(c.get(2), None);
         assert_eq!(c.get(1), Some(&"a2"));
+    }
+
+    #[test]
+    fn retain_drops_failing_entries_and_keeps_order() {
+        let mut c = LruCache::new(4);
+        for k in 1..=4u64 {
+            c.insert(k, k * 10);
+        }
+        c.retain(|&v| v != 20 && v != 40);
+        assert_eq!(keys_mru_to_lru(&c), vec![3, 1]);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.get(2), None);
+        assert_eq!(c.get(4), None);
+        // freed slots are reused before the slab grows
+        c.insert(5, 50);
+        c.insert(6, 60);
+        assert_eq!(keys_mru_to_lru(&c), vec![6, 5, 3, 1]);
+        assert_eq!(c.slots.len(), 4);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! * a `trace_ctx` or `trace_id` key anywhere — traced requests take the
 //!   slow path by design (they journal spans and attach timing);
 //! * an `op` that is not one of the four scheduling operations, nesting
-//!   deeper than [`MAX_DEPTH`], duplicate volatile keys, or a
+//!   deeper than `MAX_DEPTH`, duplicate volatile keys, or a
 //!   `deadline_ms` value that is not a plain integer.
 //!
 //! ## Volatile-field exclusion

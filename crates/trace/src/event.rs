@@ -104,12 +104,13 @@ pub struct Counters {
     pub drt_single_copy_preds: u64,
     /// Predecessors folded through the multi-copy (duplication) path.
     pub drt_multi_copy_preds: u64,
-    /// Insertion queries answered O(1) by the cached no-gap-fits bound.
+    /// Insertion queries answered O(1) by the gap index's no-gap-fits
+    /// bound.
     pub gap_fast_rejects: u64,
-    /// Insertion queries answered by the cached prefix-skip search.
+    /// Insertion queries answered by the indexed prefix-skip search.
     pub gap_cached_searches: u64,
-    /// Insertion queries that fell back to the full reference scan
-    /// (cacheless schedule or reference-engine mode).
+    /// Insertion queries answered by the full reference scan
+    /// (reference-engine mode).
     pub gap_full_scans: u64,
     /// Append-policy (non-insertion) queries.
     pub append_queries: u64,

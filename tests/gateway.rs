@@ -1,7 +1,8 @@
 //! Integration tests for the scale-out front door: a real gateway + shard
 //! topology over TCP, covering byte-identity with direct library calls,
-//! single-flight dedup, mixed unique/duplicate interleaving, and graceful
-//! degradation when a shard dies mid-traffic.
+//! single-flight dedup, mixed unique/duplicate interleaving, graceful
+//! degradation when a shard dies mid-traffic, and patch-parent recovery
+//! after a shard evicts the parent.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -39,7 +40,11 @@ struct Topology {
 }
 
 fn spawn_topology(shard_count: usize) -> Topology {
-    let shards = LocalShards::spawn(shard_count, &shard_config()).unwrap();
+    spawn_topology_with(shard_count, &shard_config())
+}
+
+fn spawn_topology_with(shard_count: usize, shard_config: &ServeConfig) -> Topology {
+    let shards = LocalShards::spawn(shard_count, shard_config).unwrap();
     let config = GatewayConfig {
         backends: shards.addrs(),
         ..Default::default()
@@ -393,6 +398,53 @@ fn shard_failure_degrades_gracefully() {
         rerouted + shed > 0,
         "losing a shard left no trace in the gateway counters: {stats:?}"
     );
+
+    topo.shutdown();
+}
+
+/// A patch whose parent the home shard has evicted answers
+/// `unknown_parent`, and the error's remedy — re-send the problem as a
+/// `schedule` — must work through the gateway: the re-send has to reach
+/// the shard and re-seed it, even though the gateway's wire cache holds a
+/// reply for that exact line.
+#[test]
+fn resent_parent_reseeds_the_shard_after_unknown_parent() {
+    let config = ServeConfig {
+        instance_cache_capacity: 2,
+        ..shard_config()
+    };
+    let topo = spawn_topology_with(1, &config);
+    let mut client = Client::connect(topo.addr);
+    let expect_ok = |reply: &serde_json::Value| {
+        assert_eq!(reply["status"].as_str(), Some("ok"), "{reply:?}");
+    };
+
+    // Whitespace-free lines are eligible for the gateway's wire cache.
+    let compact = |m: usize| schedule_request(m, "HEFT", "{}").replace(' ', "");
+    // Schedule A twice: the repeat is a memo hit, which the gateway keeps
+    // in its wire cache.
+    let a = compact(5);
+    let seeded = client.roundtrip(&a);
+    expect_ok(&seeded);
+    expect_ok(&client.roundtrip(&a));
+    let parent = seeded["schedule"]["problem"].as_str().unwrap().to_string();
+    // B and C push A out of the shard's two-entry instance cache.
+    for m in [6, 7] {
+        expect_ok(&client.roundtrip(&compact(m)));
+    }
+
+    let patch = format!(
+        "{{\"op\":\"patch\",\"parent\":\"{parent}\",\"algorithm\":\"HEFT\",\
+         \"deltas\":[{{\"kind\":\"task_weight\",\"task\":0,\"weight\":7.5}}],\"options\":{{}}}}"
+    );
+    let evicted = client.roundtrip(&patch);
+    assert_eq!(evicted["status"].as_str(), Some("error"), "{evicted:?}");
+    let message = evicted["message"].as_str().unwrap();
+    assert!(message.starts_with("unknown_parent"), "{message}");
+
+    // The remedy the error names: re-send A, then patch again.
+    expect_ok(&client.roundtrip(&a));
+    expect_ok(&client.roundtrip(&patch));
 
     topo.shutdown();
 }

@@ -11,6 +11,7 @@ use crate::cost::CostAggregation;
 use crate::eft::eft_on;
 use crate::engine::EftContext;
 use crate::instance::ProblemInstance;
+use crate::rank::MeanComm;
 use crate::schedule::Schedule;
 use crate::Scheduler;
 
@@ -71,8 +72,9 @@ impl Scheduler for Cpop {
 
     fn schedule_instance(&self, inst: &ProblemInstance) -> Schedule {
         let (dag, sys) = (inst.dag(), inst.sys());
-        let up = inst.upward_rank(self.agg);
-        let down = inst.downward_rank(self.agg);
+        let comm = MeanComm::default();
+        let up = inst.upward_rank_in(self.agg, &comm);
+        let down = inst.downward_rank_in(self.agg, &comm);
         let priority: Vec<f64> = up.iter().zip(down.iter()).map(|(&u, &d)| u + d).collect();
 
         // Critical-path processor: minimizes summed execution of CP tasks.

@@ -296,7 +296,9 @@ mod tests {
         let sys = System::heterogeneous_random(&dag, 4, &EtcParams::range_based(1.0), &mut rng);
         let heft_sched = Heft::new().schedule(&dag, &sys);
         let chrom = Chromosome {
-            priority: crate::rank::upward_rank_raw(&dag, &sys, CostAggregation::Mean),
+            priority: ProblemInstance::from_refs(&dag, &sys)
+                .upward_rank(CostAggregation::Mean)
+                .to_vec(),
             assign: dag
                 .task_ids()
                 .map(|t| heft_sched.task_proc(t).unwrap().0)

@@ -13,6 +13,7 @@ use hetsched_dag::{Dag, TaskId};
 use crate::cost::CostAggregation;
 use crate::engine::EftContext;
 use crate::instance::ProblemInstance;
+use crate::rank::MeanComm;
 use crate::schedule::Schedule;
 use crate::Scheduler;
 
@@ -156,8 +157,10 @@ impl Scheduler for Hcpt {
 
     fn schedule_instance(&self, inst: &ProblemInstance) -> Schedule {
         let (dag, sys) = (inst.dag(), inst.sys());
-        let a = inst.aest(self.agg);
-        let l = inst.alst(self.agg);
+        let comm = MeanComm::default();
+        // AEST is the downward rank
+        let a = inst.downward_rank_in(self.agg, &comm);
+        let l = inst.alst_in(self.agg, &comm);
         let order = listing_order(dag, &a, &l);
         let mut sched = Schedule::new(dag.num_tasks(), sys.num_procs());
         let mut ctx = EftContext::new(sys);

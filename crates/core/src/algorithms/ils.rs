@@ -29,16 +29,20 @@ use crate::algorithms::mcp::alap_order;
 use crate::cost::CostAggregation;
 use crate::engine::EftContext;
 use crate::instance::ProblemInstance;
-use crate::rank::sort_by_priority_desc;
+use crate::rank::{sort_by_priority_desc, MeanComm};
 use crate::schedule::{Schedule, TIME_EPS};
 use crate::Scheduler;
 
 /// The successor of `t` with the highest `rank + mean communication` —
 /// the child most likely to be on the critical path — plus the edge data.
-fn critical_child(dag: &Dag, sys: &System, rank: &[f64], t: TaskId) -> Option<(TaskId, f64)> {
+/// `comm` is the run's per-edge mean communication table, indexed like
+/// [`Dag::edges`].
+fn critical_child(dag: &Dag, comm: &[f64], rank: &[f64], t: TaskId) -> Option<(TaskId, f64)> {
     let mut best: Option<(TaskId, f64, f64)> = None;
-    for (s, data) in dag.successors(t) {
-        let key = rank[s.index()] + sys.mean_comm(data);
+    for e in dag.out_edge_range(t) {
+        let edge = &dag.edges()[e];
+        let (s, data) = (edge.dst, edge.data);
+        let key = rank[s.index()] + comm[e];
         match best {
             Some((bs, _, bk)) if key < bk || (key == bk && s >= bs) => {}
             _ => best = Some((s, data, key)),
@@ -76,6 +80,38 @@ fn lookahead_score(
     best
 }
 
+/// The near-tie candidate `(p, start, finish)` with the least
+/// `(lookahead score, finish, processor)`. `cands` is non-empty and in
+/// EFT order (finish, then processor), as
+/// [`EftContext::eft_candidates_into`] leaves it, so of two candidates
+/// with equal scores the earlier one wins.
+///
+/// Each candidate is scored at most once. Scoring stops at the first
+/// candidate whose `finish + min_q exec(child, q)` exceeds the best score
+/// so far: every term of its score is at least that bound (communication
+/// costs are non-negative and rounding is monotone), and every later
+/// candidate finishes no earlier, so none of them can win or tie.
+fn pick_by_lookahead(
+    sys: &System,
+    sched: &Schedule,
+    (child, data): (TaskId, f64),
+    cands: &[(ProcId, f64, f64)],
+) -> (ProcId, f64, f64) {
+    let min_exec = sys.etc().min_exec(child).0;
+    let score = |(p, _, f): (ProcId, f64, f64)| lookahead_score(sys, sched, child, data, p, f);
+    let mut best = (score(cands[0]), cands[0]);
+    for &cand @ (_, _, f) in &cands[1..] {
+        if f + min_exec > best.0 {
+            break;
+        }
+        let s = score(cand);
+        if s.total_cmp(&best.0).is_lt() {
+            best = (s, cand);
+        }
+    }
+    best.1
+}
+
 /// One speculative ILS-D placement to score: the spec plus the critical
 /// child whose estimated finish breaks near-ties.
 #[derive(Debug, Clone, Copy)]
@@ -106,9 +142,10 @@ fn eval_trial(dag: &Dag, sys: &System, s: &mut Schedule, item: &EvalItem) -> (f6
 type DupRounds = crate::par::Rounds<Commit, EvalItem, (f64, f64)>;
 
 /// Shared ILS processor selection: take the EFT-candidate set within
-/// `tolerance`, re-rank near-ties by the lookahead score, and place `t`
-/// (with optional duplication). Returns nothing; mutates `sched`. `ctx`
-/// and `cands` are scratch buffers owned by the caller's scheduling loop.
+/// `tolerance`, re-rank near-ties by the lookahead score of `t`'s critical
+/// `child` (plain EFT order when `None`), and place `t` (with optional
+/// duplication). Returns nothing; mutates `sched`. `ctx` and `cands` are
+/// scratch buffers owned by the caller's scheduling loop.
 ///
 /// With `duplication`, candidate probes either run in-place under the
 /// schedule trial log (`pool = None`) or fan out over a deterministic
@@ -121,38 +158,20 @@ fn select_and_place(
     sched: &mut Schedule,
     ctx: &mut EftContext,
     cands: &mut Vec<(ProcId, f64, f64)>,
-    rank: &[f64],
     t: TaskId,
+    child: Option<(TaskId, f64)>,
     tolerance: f64,
-    lookahead: bool,
     duplication: bool,
     pool: Option<&mut DupRounds>,
     pending: &mut Option<Commit>,
 ) {
     let (dag, sys) = (inst.dag(), inst.sys());
     ctx.eft_candidates_into(inst, sched, t, true, tolerance, cands);
-    let child = if lookahead {
-        critical_child(dag, sys, rank, t)
-    } else {
-        None
-    };
-
     if !duplication {
-        let pick = match child {
-            Some((c, data)) if cands.len() > 1 => cands
-                .iter()
-                .copied()
-                .min_by(|&(pa, _, fa), &(pb, _, fb)| {
-                    let sa = lookahead_score(sys, sched, c, data, pa, fa);
-                    let sb = lookahead_score(sys, sched, c, data, pb, fb);
-                    sa.total_cmp(&sb)
-                        .then_with(|| fa.total_cmp(&fb))
-                        .then_with(|| pa.cmp(&pb))
-                })
-                .expect("candidate set non-empty"),
+        let (p, start, finish) = match child {
+            Some(child) if cands.len() > 1 => pick_by_lookahead(sys, sched, child, cands),
             _ => cands[0],
         };
-        let (p, start, finish) = pick;
         sched
             .insert(t, p, start, finish - start)
             .expect("EFT placement is conflict-free");
@@ -252,14 +271,17 @@ impl Scheduler for IlsH {
     }
 
     fn schedule_instance(&self, inst: &ProblemInstance) -> Schedule {
+        let (dag, sys) = (inst.dag(), inst.sys());
+        let comm = MeanComm::default();
         let rank = {
             let _span = hetsched_trace::span("rank");
-            inst.upward_rank(self.agg)
+            inst.upward_rank_in(self.agg, &comm)
         };
         let order = sort_by_priority_desc(&rank);
-        let mut sched = Schedule::new(inst.dag().num_tasks(), inst.sys().num_procs());
-        let mut ctx = EftContext::new(inst.sys());
-        let mut cands = Vec::with_capacity(inst.sys().num_procs());
+        let comm = self.lookahead.then(|| comm.get(dag, sys));
+        let mut sched = Schedule::new(dag.num_tasks(), sys.num_procs());
+        let mut ctx = EftContext::new(sys);
+        let mut cands = Vec::with_capacity(sys.num_procs());
         let _span = hetsched_trace::span("place_loop");
         for (step, t) in order.into_iter().enumerate() {
             hetsched_trace::emit(|| hetsched_trace::Event::TaskSelected {
@@ -267,15 +289,15 @@ impl Scheduler for IlsH {
                 task: t.index() as u32,
                 priority: rank[t.index()],
             });
+            let child = comm.and_then(|comm| critical_child(dag, comm, &rank, t));
             select_and_place(
                 inst,
                 &mut sched,
                 &mut ctx,
                 &mut cands,
-                &rank,
                 t,
+                child,
                 self.tolerance,
-                self.lookahead,
                 false,
                 None,
                 &mut None,
@@ -320,11 +342,13 @@ impl Scheduler for IlsD {
 
     fn schedule_instance(&self, inst: &ProblemInstance) -> Schedule {
         let (dag, sys) = (inst.dag(), inst.sys());
+        let comm = MeanComm::default();
         let rank = {
             let _span = hetsched_trace::span("rank");
-            inst.upward_rank(self.agg)
+            inst.upward_rank_in(self.agg, &comm)
         };
         let order = sort_by_priority_desc(&rank);
+        let comm = self.lookahead.then(|| comm.get(dag, sys));
         // each round probes one plain placement plus up to
         // `max(near_ties, 3)` duplication candidates — more workers than
         // processors + 1 can never all be busy
@@ -343,15 +367,15 @@ impl Scheduler for IlsD {
                     task: t.index() as u32,
                     priority: rank[t.index()],
                 });
+                let child = comm.and_then(|comm| critical_child(dag, comm, &rank, t));
                 select_and_place(
                     inst,
                     &mut sched,
                     &mut ctx,
                     &mut cands,
-                    &rank,
                     t,
+                    child,
                     self.tolerance,
-                    self.lookahead,
                     true,
                     pool.as_deref_mut(),
                     &mut pending,
@@ -403,16 +427,19 @@ impl Scheduler for IlsM {
     }
 
     fn schedule_instance(&self, inst: &ProblemInstance) -> Schedule {
+        let (dag, sys) = (inst.dag(), inst.sys());
         let agg = CostAggregation::Mean;
+        let comm = MeanComm::default();
         let (alap, rank) = {
             let _span = hetsched_trace::span("rank");
             // lookahead uses upward rank to find critical children
-            (inst.alst(agg), inst.upward_rank(agg))
+            (inst.alst_in(agg, &comm), inst.upward_rank_in(agg, &comm))
         };
-        let order = alap_order(inst.dag(), &alap);
-        let mut sched = Schedule::new(inst.dag().num_tasks(), inst.sys().num_procs());
-        let mut ctx = EftContext::new(inst.sys());
-        let mut cands = Vec::with_capacity(inst.sys().num_procs());
+        let order = alap_order(dag, &alap);
+        let comm = comm.get(dag, sys);
+        let mut sched = Schedule::new(dag.num_tasks(), sys.num_procs());
+        let mut ctx = EftContext::new(sys);
+        let mut cands = Vec::with_capacity(sys.num_procs());
         let _span = hetsched_trace::span("place_loop");
         for (step, t) in order.into_iter().enumerate() {
             hetsched_trace::emit(|| hetsched_trace::Event::TaskSelected {
@@ -425,10 +452,9 @@ impl Scheduler for IlsM {
                 &mut sched,
                 &mut ctx,
                 &mut cands,
-                &rank,
                 t,
+                critical_child(dag, comm, &rank, t),
                 self.tolerance,
-                true,
                 false,
                 None,
                 &mut None,
@@ -547,16 +573,91 @@ mod tests {
         assert_eq!(validate(&dag, &sys, &s), Ok(()));
     }
 
+    /// The pick by `min_by` with a comparator that scores both sides of
+    /// every comparison against the live schedule: the oracle for
+    /// `pick_by_lookahead`.
+    fn pick_pairwise(
+        sys: &System,
+        sched: &Schedule,
+        (c, data): (TaskId, f64),
+        cands: &[(ProcId, f64, f64)],
+    ) -> (ProcId, f64, f64) {
+        cands
+            .iter()
+            .copied()
+            .min_by(|&(pa, _, fa), &(pb, _, fb)| {
+                let sa = lookahead_score(sys, sched, c, data, pa, fa);
+                let sb = lookahead_score(sys, sched, c, data, pb, fb);
+                sa.total_cmp(&sb)
+                    .then_with(|| fa.total_cmp(&fb))
+                    .then_with(|| pa.cmp(&pb))
+            })
+            .expect("candidate set non-empty")
+    }
+
+    #[test]
+    fn single_score_pick_equals_the_pairwise_comparator() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x11a5);
+        for case in 0..400 {
+            let np = rng.gen_range(1..=8usize);
+            let n = 2 * np + 1;
+            // Small integers on a unit network make scores, finishes and
+            // end times collide often, so every tie-break level is hit.
+            let small = case % 2 == 0;
+            let draw = |rng: &mut StdRng, lo: f64, hi: f64| {
+                if small {
+                    rng.gen_range(lo as u32..=hi as u32) as f64
+                } else {
+                    rng.gen_range(lo..hi)
+                }
+            };
+            let etc = EtcMatrix::from_fn(n, np, |_, _| draw(&mut rng, 1.0, 6.0));
+            let sys = System::new(etc, Network::unit(np));
+            let mut sched = Schedule::new(n, np);
+            for p in 0..np {
+                let (start, dur) = (draw(&mut rng, 0.0, 8.0), draw(&mut rng, 1.0, 4.0));
+                sched
+                    .insert(TaskId(p as u32), ProcId(p as u32), start, dur)
+                    .unwrap();
+            }
+            let child = (TaskId(n as u32 - 1), draw(&mut rng, 0.0, 5.0));
+            let k = rng.gen_range(1..=np);
+            let mut procs: Vec<u32> = (0..np as u32).collect();
+            for i in 0..k {
+                let j = rng.gen_range(i..np);
+                procs.swap(i, j);
+            }
+            let mut cands: Vec<(ProcId, f64, f64)> = procs[..k]
+                .iter()
+                .map(|&p| {
+                    let start = draw(&mut rng, 0.0, 10.0);
+                    (ProcId(p), start, start + draw(&mut rng, 1.0, 3.0))
+                })
+                .collect();
+            // EFT order, as `eft_candidates_into` leaves the set.
+            cands.sort_by(|a, b| a.2.total_cmp(&b.2).then_with(|| a.0.cmp(&b.0)));
+            let fast = pick_by_lookahead(&sys, &sched, child, &cands);
+            assert_eq!(
+                fast,
+                pick_pairwise(&sys, &sched, child, &cands),
+                "case {case}"
+            );
+        }
+    }
+
     #[test]
     fn critical_child_picks_heaviest_successor() {
         let dag = dag_from_edges(&[1.0, 5.0, 1.0], &[(0, 1, 2.0), (0, 2, 2.0)]).unwrap();
         let sys = System::homogeneous_unit(&dag, 2);
-        let rank = crate::rank::upward_rank_raw(&dag, &sys, CostAggregation::Mean);
-        let cc = critical_child(&dag, &sys, &rank, hetsched_dag::TaskId(0));
+        let rank = crate::rank::oracle::upward_rank(&dag, &sys, CostAggregation::Mean);
+        let comm = crate::rank::mean_comm_table(&dag, &sys);
+        let cc = critical_child(&dag, &comm, &rank, hetsched_dag::TaskId(0));
         assert_eq!(cc.map(|(c, _)| c), Some(hetsched_dag::TaskId(1)));
         // exit task has no critical child
         assert_eq!(
-            critical_child(&dag, &sys, &rank, hetsched_dag::TaskId(1)),
+            critical_child(&dag, &comm, &rank, hetsched_dag::TaskId(1)),
             None
         );
     }

@@ -40,12 +40,13 @@ impl Peft {
 /// Compute the optimistic cost table, task-major (`oct[t * P + p]`).
 pub(crate) fn oct_table(dag: &Dag, sys: &System) -> Vec<f64> {
     let np = sys.num_procs();
+    let comm = crate::rank::mean_comm_table(dag, sys);
     let mut oct = vec![0.0f64; dag.num_tasks() * np];
     for &t in dag.topo_order().iter().rev() {
         for p in sys.proc_ids() {
             let mut worst_child = 0.0f64;
-            for (c, data) in dag.successors(t) {
-                let mean_comm = sys.mean_comm(data);
+            for e in dag.out_edge_range(t) {
+                let (c, mean_comm) = (dag.edges()[e].dst, comm[e]);
                 let mut best = f64::INFINITY;
                 for q in sys.proc_ids() {
                     let comm = if p == q { 0.0 } else { mean_comm };

@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn rank_accumulates_acc_dtc_rpt() {
         let (dag, sys) = setup();
-        let r = crate::rank::pets_rank_raw(&dag, &sys, CostAggregation::Mean);
+        let r = ProblemInstance::from_refs(&dag, &sys).pets_rank(CostAggregation::Mean);
         // t0: acc 2 + dtc (6 + 2) = 10, rpt 0 -> 10
         assert_eq!(r[0], 10.0);
         // t1: acc 3 + dtc 4 + rpt 10 -> 17

@@ -1,6 +1,6 @@
 //! Incremental problem patching: apply a sequence of [`Delta`]s to a
-//! [`ProblemInstance`] copy-on-write, invalidating only the rank-memo
-//! entries reachable from the dirty region.
+//! [`ProblemInstance`] copy-on-write, re-evaluating only the rank-memo
+//! entries whose inputs changed.
 //!
 //! The output of [`ProblemInstance::apply_deltas`] is a [`Patched`]
 //! instance plus a [`DirtyInfo`] describing which tasks' EFT inputs the
@@ -11,21 +11,27 @@
 //!
 //! An untouched side of the problem stays `Cow::Borrowed` from the parent:
 //! an ETC-only delta borrows the parent's `Dag` outright, a weight-only
-//! delta borrows the parent's `System`. Touched sides are rebuilt through
-//! the same validating constructors a fresh build would use
-//! ([`DagBuilder`] / [`EtcMatrix::from_fn`]), so a patched instance is
-//! indistinguishable — fingerprint, topological order, rank vectors, and
-//! schedules — from one built from scratch with the patched content.
+//! delta borrows the parent's `System`. ETC entries are patched in a clone
+//! of the parent's [`EtcMatrix`] ([`EtcMatrix::set_exec`] refreshes each
+//! touched row's cached mean by the fold a fresh build runs), so they copy
+//! neither the DAG nor the network. A touched DAG is rebuilt through the
+//! same canonicalizing [`DagBuilder`] a fresh build would use, and a
+//! structural delta rebuilds the ETC through [`EtcMatrix::from_fn`].
+//! Either way a patched instance is indistinguishable — fingerprint,
+//! topological order, rank vectors, and schedules — from one built from
+//! scratch with the patched content.
 //!
-//! # Dirty-region memo seeding
+//! # Memo seeding
 //!
 //! For weight-level deltas (task weight, ETC cell, edge data volume) the
-//! patched instance's rank memo is *seeded* from the parent: each memoized
-//! rank vector is carried over and only the entries transitively reachable
-//! from the touched tasks are re-evaluated, using the exact per-task folds
-//! of the raw kernels. Structural deltas (task add/remove, processor
-//! removal) remap ids, so nothing is carried over and every consumer
-//! recomputes from scratch — still bit-identical, just not incremental.
+//! patched instance's rank memo is *seeded* from the parent: each rank
+//! vector the parent memoized is carried over, and only the tasks whose
+//! own inputs changed, or that read an entry whose bits changed, are
+//! re-evaluated, using the exact per-task folds of the raw kernels (a
+//! value cutoff: an entry recomputed to the parent's bits dirties none of
+//! its readers). Structural deltas (task add/remove, processor removal)
+//! remap ids, so nothing is carried over and every consumer recomputes
+//! from scratch — still bit-identical, just not incremental.
 
 use std::borrow::Cow;
 
@@ -33,7 +39,7 @@ use hetsched_dag::{Dag, DagBuilder, DagError, TaskId};
 use hetsched_platform::{EtcMatrix, ProcId, System};
 use serde::{Deserialize, Serialize};
 
-use crate::instance::{ProblemInstance, SeedPlan};
+use crate::instance::ProblemInstance;
 
 /// One edit to a (DAG, system) pair.
 ///
@@ -203,17 +209,21 @@ pub struct Patched<'a> {
     pub dirty: DirtyInfo,
 }
 
-/// Mutable working copy of the problem while a delta sequence applies.
-struct Work {
-    weights: Vec<f64>,
-    edges: Vec<(TaskId, TaskId, f64)>,
-    n_procs: usize,
-    /// Row-major `n_tasks x n_procs` execution-time estimates.
-    etc: Vec<f64>,
+/// Task weights and edges `(src, dst, data)` of a DAG being edited.
+type DagParts = (Vec<f64>, Vec<(TaskId, TaskId, f64)>);
+
+/// Working copy of the problem while a delta sequence applies. Each side
+/// is copied from the parent when a delta first touches it; until then
+/// the parent's is read in place.
+struct Work<'p> {
+    dag: &'p Dag,
+    sys: &'p System,
+    /// Edited weights and edges; `None` while the parent's DAG is untouched.
+    dag_parts: Option<DagParts>,
+    /// Edited ETC matrix; `None` while the parent's is untouched.
+    etc: Option<EtcMatrix>,
     /// Replacement network; `None` while the parent's links are untouched.
     net: Option<hetsched_platform::Network>,
-    dag_touched: bool,
-    sys_touched: bool,
     structural: bool,
     /// Tasks whose ETC row changed (maintained only while `!structural`).
     exec_dirty: Vec<bool>,
@@ -228,9 +238,33 @@ fn check_value(what: &'static str, value: f64) -> Result<f64, DeltaError> {
     Ok(value)
 }
 
-impl Work {
+impl<'p> Work<'p> {
+    fn new(dag: &'p Dag, sys: &'p System) -> Self {
+        Work {
+            dag,
+            sys,
+            dag_parts: None,
+            etc: None,
+            net: None,
+            structural: false,
+            exec_dirty: vec![false; dag.num_tasks()],
+            comm_edges: Vec::new(),
+        }
+    }
+
+    /// The current ETC matrix. Its rows track the task count and its
+    /// columns the processor count: every delta that changes either
+    /// reshapes it.
+    fn etc(&self) -> &EtcMatrix {
+        self.etc.as_ref().unwrap_or(self.sys.etc())
+    }
+
     fn n_tasks(&self) -> usize {
-        self.weights.len()
+        self.etc().num_tasks()
+    }
+
+    fn n_procs(&self) -> usize {
+        self.etc().num_procs()
     }
 
     fn check_task(&self, t: TaskId) -> Result<TaskId, DeltaError> {
@@ -241,30 +275,52 @@ impl Work {
     }
 
     fn check_proc(&self, p: ProcId) -> Result<ProcId, DeltaError> {
-        if p.index() >= self.n_procs {
+        if p.index() >= self.n_procs() {
             return Err(DeltaError::UnknownProc(p));
         }
         Ok(p)
     }
 
-    fn apply(
+    /// The editable weights and edges, copied from the parent on first use.
+    fn dag_parts(&mut self) -> &mut DagParts {
+        let dag = self.dag;
+        self.dag_parts.get_or_insert_with(|| {
+            let weights = dag.task_ids().map(|t| dag.task_weight(t)).collect();
+            let edges = dag.edges().iter().map(|e| (e.src, e.dst, e.data)).collect();
+            (weights, edges)
+        })
+    }
+
+    /// Replace the ETC matrix with an `n_tasks x n_procs` one whose entry
+    /// `(t, p)` is `f(current, t, p)`, through the constructor a fresh
+    /// build uses. Structural deltas pay this full rebuild.
+    fn reshape_etc(
         &mut self,
-        delta: &Delta,
-        parent_net: &hetsched_platform::Network,
-    ) -> Result<(), DeltaError> {
+        n_tasks: usize,
+        n_procs: usize,
+        f: impl Fn(&EtcMatrix, TaskId, ProcId) -> f64,
+    ) {
+        let current = self.etc.take();
+        let current = current.as_ref().unwrap_or(self.sys.etc());
+        self.etc = Some(EtcMatrix::from_fn(n_tasks, n_procs, |t, p| {
+            f(current, t, p)
+        }));
+    }
+
+    fn apply(&mut self, delta: &Delta) -> Result<(), DeltaError> {
         match *delta {
             Delta::TaskWeight { task, weight } => {
                 self.check_task(task)?;
                 let w = check_value("task weight", weight)?;
-                self.weights[task.index()] = w;
-                self.dag_touched = true;
+                self.dag_parts().0[task.index()] = w;
             }
             Delta::EtcEntry { task, proc, time } => {
                 self.check_task(task)?;
                 self.check_proc(proc)?;
                 let v = check_value("execution time", time)?;
-                self.etc[task.index() * self.n_procs + proc.index()] = v;
-                self.sys_touched = true;
+                let sys = self.sys;
+                let etc = self.etc.get_or_insert_with(|| sys.etc().clone());
+                etc.set_exec(task, proc, v);
                 if !self.structural {
                     self.exec_dirty[task.index()] = true;
                 }
@@ -274,12 +330,12 @@ impl Work {
                 self.check_task(dst)?;
                 let d = check_value("edge data volume", data)?;
                 let e = self
-                    .edges
+                    .dag_parts()
+                    .1
                     .iter_mut()
                     .find(|e| e.0 == src && e.1 == dst)
                     .ok_or(DeltaError::UnknownEdge(src, dst))?;
                 e.2 = d;
-                self.dag_touched = true;
                 if !self.structural {
                     self.comm_edges.push((src, dst));
                 }
@@ -291,16 +347,17 @@ impl Work {
                 ref succs,
             } => {
                 let w = check_value("task weight", weight)?;
-                if exec.len() != self.n_procs {
+                let (n, np) = (self.n_tasks(), self.n_procs());
+                if exec.len() != np {
                     return Err(DeltaError::ExecLenMismatch {
-                        expected: self.n_procs,
+                        expected: np,
                         got: exec.len(),
                     });
                 }
                 for &e in exec {
                     check_value("execution time", e)?;
                 }
-                let new = TaskId::from_index(self.n_tasks());
+                let new = TaskId::from_index(n);
                 for &(p, d) in preds {
                     self.check_task(p)?;
                     check_value("edge data volume", d)?;
@@ -309,22 +366,26 @@ impl Work {
                     self.check_task(s)?;
                     check_value("edge data volume", d)?;
                 }
-                self.weights.push(w);
-                self.etc.extend_from_slice(exec);
-                self.edges.extend(preds.iter().map(|&(p, d)| (p, new, d)));
-                self.edges.extend(succs.iter().map(|&(s, d)| (new, s, d)));
-                self.dag_touched = true;
-                self.sys_touched = true;
+                self.reshape_etc(n + 1, np, |etc, t, p| {
+                    if t == new {
+                        exec[p.index()]
+                    } else {
+                        etc.exec(t, p)
+                    }
+                });
+                let (weights, edges) = self.dag_parts();
+                weights.push(w);
+                edges.extend(preds.iter().map(|&(p, d)| (p, new, d)));
+                edges.extend(succs.iter().map(|&(s, d)| (new, s, d)));
                 self.structural = true;
             }
             Delta::RemoveTask { task } => {
                 self.check_task(task)?;
-                if self.n_tasks() == 1 {
+                let (n, np) = (self.n_tasks(), self.n_procs());
+                if n == 1 {
                     return Err(DeltaError::LastTask);
                 }
                 let r = task.index();
-                self.weights.remove(r);
-                self.etc.drain(r * self.n_procs..(r + 1) * self.n_procs);
                 let shift = |t: TaskId| {
                     if t.index() > r {
                         TaskId::from_index(t.index() - 1)
@@ -332,37 +393,37 @@ impl Work {
                         t
                     }
                 };
-                self.edges.retain(|&(u, v, _)| u != task && v != task);
-                for e in &mut self.edges {
+                // New row `t` is old row `t`, or `t + 1` past the removed one.
+                self.reshape_etc(n - 1, np, |etc, t, p| {
+                    etc.exec(
+                        TaskId::from_index(t.index() + usize::from(t.index() >= r)),
+                        p,
+                    )
+                });
+                let (weights, edges) = self.dag_parts();
+                weights.remove(r);
+                edges.retain(|&(u, v, _)| u != task && v != task);
+                for e in edges {
                     e.0 = shift(e.0);
                     e.1 = shift(e.1);
                 }
-                self.dag_touched = true;
-                self.sys_touched = true;
                 self.structural = true;
             }
             Delta::RemoveProc { proc } => {
                 self.check_proc(proc)?;
-                if self.n_procs == 1 {
+                let (n, np) = (self.n_tasks(), self.n_procs());
+                if np == 1 {
                     return Err(DeltaError::LastProc);
                 }
                 let r = proc.index();
-                let old_np = self.n_procs;
-                let mut etc = Vec::with_capacity(self.n_tasks() * (old_np - 1));
-                for t in 0..self.n_tasks() {
-                    let row = &self.etc[t * old_np..(t + 1) * old_np];
-                    etc.extend(
-                        row.iter()
-                            .enumerate()
-                            .filter(|&(p, _)| p != r)
-                            .map(|(_, &v)| v),
-                    );
-                }
-                self.etc = etc;
-                self.n_procs = old_np - 1;
-                let current = self.net.as_ref().unwrap_or(parent_net);
+                self.reshape_etc(n, np - 1, |etc, t, p| {
+                    etc.exec(
+                        t,
+                        ProcId::from_index(p.index() + usize::from(p.index() >= r)),
+                    )
+                });
+                let current = self.net.as_ref().unwrap_or(self.sys.network());
                 self.net = Some(current.without_proc(proc));
-                self.sys_touched = true;
                 self.structural = true;
             }
         }
@@ -370,33 +431,10 @@ impl Work {
     }
 }
 
-/// Mark every task from which a marked task is reachable (a task is dirty
-/// if any *successor* is dirty) — the input cone of the backward rank
-/// kernels, computed in one reverse-topological pass.
-fn close_ancestors(dag: &Dag, mut mask: Vec<bool>) -> Vec<bool> {
-    for &t in dag.topo_order().iter().rev() {
-        if !mask[t.index()] && dag.successors(t).any(|(s, _)| mask[s.index()]) {
-            mask[t.index()] = true;
-        }
-    }
-    mask
-}
-
-/// Mark every task reachable from a marked task (dirty if any
-/// *predecessor* is dirty) — the input cone of the forward kernels.
-fn close_descendants(dag: &Dag, mut mask: Vec<bool>) -> Vec<bool> {
-    for &t in dag.topo_order() {
-        if !mask[t.index()] && dag.predecessors(t).any(|(u, _)| mask[u.index()]) {
-            mask[t.index()] = true;
-        }
-    }
-    mask
-}
-
 impl<'a> ProblemInstance<'a> {
     /// Apply `deltas` in order, producing a patched instance that borrows
-    /// every untouched arena from `self` and whose rank memo is seeded from
-    /// `self`'s wherever the deltas left a kernel's inputs clean.
+    /// every untouched arena from `self` and, for weight-level deltas,
+    /// whose rank memo is seeded from `self`'s.
     ///
     /// The patched instance is bit-for-bit equivalent to one built from
     /// scratch with the edited content: same fingerprint, same topological
@@ -410,91 +448,62 @@ impl<'a> ProblemInstance<'a> {
     /// negative value, or would leave the problem degenerate (no tasks, no
     /// processors) or cyclic.
     pub fn apply_deltas(&self, deltas: &[Delta]) -> Result<Patched<'_>, DeltaError> {
-        let dag = self.dag();
-        let sys = self.sys();
-        let n = dag.num_tasks();
-        let np = sys.num_procs();
-
-        let mut work = Work {
-            weights: (0..n)
-                .map(|i| dag.task_weight(TaskId::from_index(i)))
-                .collect(),
-            edges: dag.edges().iter().map(|e| (e.src, e.dst, e.data)).collect(),
-            n_procs: np,
-            etc: (0..n)
-                .flat_map(|i| sys.etc().row(TaskId::from_index(i)).iter().copied())
-                .collect(),
-            net: None,
-            dag_touched: false,
-            sys_touched: false,
-            structural: false,
-            exec_dirty: vec![false; n],
-            comm_edges: Vec::new(),
-        };
+        let (dag, sys) = (self.dag(), self.sys());
+        let mut work = Work::new(dag, sys);
         for delta in deltas {
-            work.apply(delta, sys.network())?;
+            work.apply(delta)?;
         }
 
-        let patched_dag: Cow<'_, Dag> = if work.dag_touched {
-            let mut b = DagBuilder::with_capacity(work.weights.len(), work.edges.len());
-            for &w in &work.weights {
-                b.add_task(w);
+        let patched_dag: Cow<'_, Dag> = match work.dag_parts {
+            Some((weights, edges)) => {
+                let mut b = DagBuilder::with_capacity(weights.len(), edges.len());
+                for w in weights {
+                    b.add_task(w);
+                }
+                for (u, v, d) in edges {
+                    b.add_edge(u, v, d)?;
+                }
+                Cow::Owned(b.build()?)
             }
-            for &(u, v, d) in &work.edges {
-                b.add_edge(u, v, d)?;
-            }
-            Cow::Owned(b.build()?)
-        } else {
-            Cow::Borrowed(dag)
+            None => Cow::Borrowed(dag),
         };
-        let patched_sys: Cow<'_, System> = if work.sys_touched {
-            let np = work.n_procs;
-            let etc = EtcMatrix::from_fn(work.weights.len(), np, |t, p| {
-                work.etc[t.index() * np + p.index()]
-            });
-            let net = work.net.take().unwrap_or_else(|| sys.network().clone());
-            Cow::Owned(System::new(etc, net))
-        } else {
-            Cow::Borrowed(sys)
+        // A replaced network implies a reshaped ETC (processor removal).
+        let patched_sys: Cow<'_, System> = match work.etc {
+            Some(etc) => {
+                let net = work.net.unwrap_or_else(|| sys.network().clone());
+                Cow::Owned(System::new(etc, net))
+            }
+            None => Cow::Borrowed(sys),
         };
 
         let instance = ProblemInstance::from_cows(patched_dag, patched_sys);
-        let dirty = if work.structural {
-            DirtyInfo::Structural
-        } else {
-            let has_exec = work.exec_dirty.iter().any(|&d| d);
-            let has_comm = !work.comm_edges.is_empty();
-            let seeded =
-                |srcs: bool, close: fn(&Dag, Vec<bool>) -> Vec<bool>| -> Option<Vec<bool>> {
-                    (has_exec || has_comm).then(|| {
-                        let mut m = work.exec_dirty.clone();
-                        for &(u, v) in &work.comm_edges {
-                            m[if srcs { u.index() } else { v.index() }] = true;
-                        }
-                        close(instance.dag(), m)
-                    })
-                };
-            let plan = SeedPlan {
-                // rank_u(t) reads t's ETC row and t's outgoing edge data.
-                upward: seeded(true, close_ancestors),
-                // rank_d(t) reads its predecessors' ETC rows and incoming
-                // edge data.
-                downward: seeded(false, close_descendants),
-                // SL(t) reads only t's ETC row.
-                static_level: has_exec
-                    .then(|| close_ancestors(instance.dag(), work.exec_dirty.clone())),
-                // PETS rank(t) reads t's ETC row, t's outgoing edge data
-                // (DTC), and its predecessors' ranks (RPT).
-                pets: seeded(true, close_descendants),
-            };
-            instance.seed_memo_from(self, &plan);
-            let mut eft_dirty = work.exec_dirty;
-            for &(_, v) in &work.comm_edges {
-                eft_dirty[v.index()] = true;
-            }
-            DirtyInfo::Tasks { eft_dirty }
-        };
-        Ok(Patched { instance, dirty })
+        if work.structural {
+            return Ok(Patched {
+                instance,
+                dirty: DirtyInfo::Structural,
+            });
+        }
+        Ok(self.seeded(instance, work.exec_dirty, &work.comm_edges))
+    }
+
+    /// Seed the weight-level patch `instance`'s rank memo from `self` and
+    /// summarize what changed for repair: a task's EFT inputs are its own
+    /// ETC row and its incoming volumes.
+    fn seeded<'p>(
+        &self,
+        instance: ProblemInstance<'p>,
+        exec_dirty: Vec<bool>,
+        comm_edges: &[(TaskId, TaskId)],
+    ) -> Patched<'p> {
+        instance.seed_memo_from(self, &exec_dirty, comm_edges);
+        let mut eft_dirty = exec_dirty;
+        for &(_, v) in comm_edges {
+            eft_dirty[v.index()] = true;
+        }
+        Patched {
+            instance,
+            dirty: DirtyInfo::Tasks { eft_dirty },
+        }
     }
 }
 
@@ -502,7 +511,7 @@ impl<'a> ProblemInstance<'a> {
 mod tests {
     use super::*;
     use crate::cost::CostAggregation;
-    use crate::rank;
+    use crate::rank::oracle::{self, bits};
     use hetsched_dag::builder::dag_from_edges;
     use std::sync::Arc;
 
@@ -519,10 +528,6 @@ mod tests {
         });
         let net = hetsched_platform::Network::uniform(3, 0.5, 2.0);
         ProblemInstance::new(dag, System::new(etc, net))
-    }
-
-    fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -583,54 +588,206 @@ mod tests {
         );
     }
 
+    /// The ETC matrix of `parent` with `deltas`' ETC entries applied, built
+    /// from scratch.
+    fn scratch_etc(parent: &ProblemInstance, deltas: &[Delta]) -> EtcMatrix {
+        let etc = parent.sys().etc();
+        EtcMatrix::from_fn(etc.num_tasks(), etc.num_procs(), |t, p| {
+            deltas
+                .iter()
+                .rev()
+                .find_map(|d| match *d {
+                    Delta::EtcEntry { task, proc, time } if task == t && proc == p => Some(time),
+                    _ => None,
+                })
+                .unwrap_or_else(|| etc.exec(t, p))
+        })
+    }
+
     #[test]
     fn seeded_ranks_match_a_fresh_computation_bitwise() {
         let parent = setup();
-        for agg in [CostAggregation::Mean, CostAggregation::Best] {
-            // Populate the parent memo so seeding has something to reuse.
+        // Populate the parent memo so seeding has something to reuse.
+        for agg in oracle::AGGS {
             parent.upward_rank(agg);
             parent.downward_rank(agg);
             parent.static_level(agg);
             parent.pets_rank(agg);
+            parent.alst(agg);
+            parent.critical_path_tasks(agg);
         }
-        let deltas = [
-            Delta::EtcEntry {
-                task: TaskId(2),
-                proc: ProcId(1),
-                time: 42.0,
-            },
-            Delta::EdgeData {
-                src: TaskId(1),
-                dst: TaskId(3),
-                data: 31.0,
-            },
+        let etc = |task: u32, proc: u32, time: f64| Delta::EtcEntry {
+            task: TaskId(task),
+            proc: ProcId(proc),
+            time,
+        };
+        // Rows are t0 [1,2,3], t1 [4,5,6], t2 [7,8,9], t3 [10,11,12].
+        let sequences = [
+            // an ETC entry plus an edge volume: both sides are copied
+            vec![
+                etc(2, 1, 42.0),
+                Delta::EdgeData {
+                    src: TaskId(1),
+                    dst: TaskId(3),
+                    data: 31.0,
+                },
+            ],
+            // ETC entries alone: the DAG stays borrowed
+            vec![etc(2, 1, 42.0)],
+            vec![etc(0, 2, 0.5), etc(3, 0, 7.0), etc(0, 2, 2.5)],
+            // recomputed entries keep the parent's bits: the value cutoff
+            vec![etc(1, 1, 5.0)],
+            vec![etc(1, 2, 60.0)],
         ];
-        let p = parent.apply_deltas(&deltas).unwrap();
-        let (d, s) = (p.instance.dag(), p.instance.sys());
-        for agg in [CostAggregation::Mean, CostAggregation::Best] {
-            assert_eq!(
-                bits(&p.instance.upward_rank(agg)),
-                bits(&rank::upward_rank_raw(d, s, agg))
-            );
-            assert_eq!(
-                bits(&p.instance.downward_rank(agg)),
-                bits(&rank::downward_rank_raw(d, s, agg))
-            );
-            assert_eq!(
-                bits(&p.instance.static_level(agg)),
-                bits(&rank::static_level_raw(d, s, agg))
-            );
-            assert_eq!(
-                bits(&p.instance.pets_rank(agg)),
-                bits(&rank::pets_rank_raw(d, s, agg))
-            );
+        for deltas in &sequences {
+            let p = parent.apply_deltas(deltas).unwrap();
+            let (d, s) = (p.instance.dag(), p.instance.sys());
+            let fresh_etc = scratch_etc(&parent, deltas);
+            for t in d.task_ids() {
+                assert_eq!(bits(s.etc().row(t)), bits(fresh_etc.row(t)), "{deltas:?}");
+                assert_eq!(
+                    s.etc().mean_exec(t).to_bits(),
+                    fresh_etc.mean_exec(t).to_bits(),
+                    "{deltas:?}"
+                );
+            }
+            let fresh = ProblemInstance::from_refs(d, s);
+            for agg in oracle::AGGS {
+                oracle::assert_ranks_match(&p.instance, d, s, agg);
+                assert_eq!(bits(&p.instance.alst(agg)), bits(&fresh.alst(agg)));
+                assert_eq!(
+                    p.instance.critical_path_tasks(agg),
+                    fresh.critical_path_tasks(agg)
+                );
+            }
         }
-        match p.dirty {
+
+        // The cutoff shares what did not change. Setting an entry to its
+        // own value changes nothing.
+        let same = parent.apply_deltas(&sequences[3]).unwrap();
+        for agg in oracle::AGGS {
+            assert!(Arc::ptr_eq(
+                &same.instance.upward_rank(agg),
+                &parent.upward_rank(agg)
+            ));
+            assert!(Arc::ptr_eq(
+                &same.instance.pets_rank(agg),
+                &parent.pets_rank(agg)
+            ));
+            assert!(Arc::ptr_eq(&same.instance.alst(agg), &parent.alst(agg)));
+        }
+        // Raising t1's slowest entry keeps its best and median costs, so
+        // those ranks keep every bit while the mean's move.
+        let slow = parent.apply_deltas(&sequences[4]).unwrap();
+        for agg in [CostAggregation::Best, CostAggregation::Median] {
+            assert!(Arc::ptr_eq(
+                &slow.instance.upward_rank(agg),
+                &parent.upward_rank(agg)
+            ));
+            assert!(Arc::ptr_eq(
+                &slow.instance.downward_rank(agg),
+                &parent.downward_rank(agg)
+            ));
+            assert!(Arc::ptr_eq(
+                &slow.instance.critical_path_tasks(agg),
+                &parent.critical_path_tasks(agg)
+            ));
+        }
+        let mean = CostAggregation::Mean;
+        assert_ne!(
+            bits(&slow.instance.upward_rank(mean)),
+            bits(&parent.upward_rank(mean))
+        );
+
+        match parent.apply_deltas(&sequences[0]).unwrap().dirty {
             DirtyInfo::Tasks { eft_dirty } => {
                 // ETC delta marks t2; edge delta marks its destination t3.
                 assert_eq!(eft_dirty, vec![false, false, true, true]);
             }
             DirtyInfo::Structural => panic!("weight-level deltas are not structural"),
+        }
+    }
+
+    #[test]
+    fn weight_patches_seed_ranks_bit_identical_on_random_graphs() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xde17a);
+        for case in 0..12 {
+            let dag = hetsched_workloads::random_dag(
+                &hetsched_workloads::RandomDagParams::new(40, 1.0, 1.0),
+                &mut rng,
+            );
+            let sys = System::fully_random(
+                &dag,
+                5,
+                &hetsched_platform::EtcParams::range_based(1.0),
+                (0.0, 1.0),
+                (1.0, 4.0),
+                &mut rng,
+            );
+            let parent = ProblemInstance::new(dag, sys);
+            for agg in oracle::AGGS {
+                parent.upward_rank(agg);
+                parent.downward_rank(agg);
+                parent.static_level(agg);
+                parent.pets_rank(agg);
+            }
+            // Half the cases patch ETC entries alone; the rest mix in edge
+            // volumes and task weights. Half the values are kept, so
+            // cutoffs fire.
+            let mixed = case % 2 == 1;
+            let deltas: Vec<Delta> = (0..rng.gen_range(1..5))
+                .map(|_| {
+                    let scale = if rng.gen::<bool>() { 1.0 } else { 1.5 };
+                    match if mixed { rng.gen_range(0..3) } else { 0 } {
+                        0 => {
+                            let task = TaskId(rng.gen_range(0..40));
+                            let proc = ProcId(rng.gen_range(0..5));
+                            let time = parent.sys().exec_time(task, proc) * scale;
+                            Delta::EtcEntry { task, proc, time }
+                        }
+                        1 => {
+                            let edges = parent.dag().edges();
+                            let e = &edges[rng.gen_range(0..edges.len())];
+                            Delta::EdgeData {
+                                src: e.src,
+                                dst: e.dst,
+                                data: e.data * scale,
+                            }
+                        }
+                        _ => {
+                            let task = TaskId(rng.gen_range(0..40));
+                            let weight = parent.dag().task_weight(task) * scale;
+                            Delta::TaskWeight { task, weight }
+                        }
+                    }
+                })
+                .collect();
+            let p = parent.apply_deltas(&deltas).unwrap();
+            let (d, s) = (p.instance.dag(), p.instance.sys());
+            assert_eq!(
+                s.content_fingerprint(),
+                System::new(scratch_etc(&parent, &deltas), s.network().clone())
+                    .content_fingerprint(),
+                "case {case}"
+            );
+            for delta in &deltas {
+                if let Delta::EdgeData { src, dst, .. } = *delta {
+                    let want = deltas.iter().rev().find_map(|d| match *d {
+                        Delta::EdgeData {
+                            src: u,
+                            dst: v,
+                            data,
+                        } if (u, v) == (src, dst) => Some(data),
+                        _ => None,
+                    });
+                    assert_eq!(d.edge_data(src, dst), want, "case {case}");
+                }
+            }
+            for agg in oracle::AGGS {
+                oracle::assert_ranks_match(&p.instance, d, s, agg);
+            }
         }
     }
 
@@ -652,6 +809,18 @@ mod tests {
         assert_ne!(parent.fingerprint(), p.instance.fingerprint());
     }
 
+    /// `etc` holds exactly `rows`, with the cached means a fresh build
+    /// computes.
+    fn assert_rows(etc: &EtcMatrix, rows: &[[f64; 3]]) {
+        let np = etc.num_procs();
+        let fresh = EtcMatrix::from_fn(rows.len(), np, |t, p| rows[t.index()][p.index()]);
+        assert_eq!(etc.num_tasks(), rows.len());
+        for t in (0..rows.len()).map(TaskId::from_index) {
+            assert_eq!(etc.row(t), fresh.row(t), "row {t}");
+            assert_eq!(etc.mean_exec(t).to_bits(), fresh.mean_exec(t).to_bits());
+        }
+    }
+
     #[test]
     fn structural_deltas_rebuild_and_renumber() {
         let parent = setup();
@@ -665,7 +834,9 @@ mod tests {
         assert_eq!(d.edge_data(TaskId(0), TaskId(1)), Some(20.0));
         assert_eq!(d.edge_data(TaskId(1), TaskId(2)), Some(40.0));
         assert_eq!(d.num_edges(), 2);
-        assert_eq!(p.instance.sys().etc().num_tasks(), 3);
+        // Rows were t0 [1,2,3], t1 [4,5,6], t2 [7,8,9], t3 [10,11,12].
+        let rows = [[1.0, 2.0, 3.0], [7.0, 8.0, 9.0], [10.0, 11.0, 12.0]];
+        assert_rows(p.instance.sys().etc(), &rows);
 
         let q = parent
             .apply_deltas(&[Delta::AddTask {
@@ -678,6 +849,14 @@ mod tests {
         assert_eq!(q.dirty, DirtyInfo::Structural);
         assert_eq!(q.instance.dag().num_tasks(), 5);
         assert_eq!(q.instance.dag().edge_data(TaskId(3), TaskId(4)), Some(7.0));
+        let rows = [
+            [1.0, 2.0, 3.0],
+            [4.0, 5.0, 6.0],
+            [7.0, 8.0, 9.0],
+            [10.0, 11.0, 12.0],
+            [1.0, 2.0, 3.0],
+        ];
+        assert_rows(q.instance.sys().etc(), &rows);
 
         let r = parent
             .apply_deltas(&[Delta::RemoveProc { proc: ProcId(1) }])
@@ -687,6 +866,11 @@ mod tests {
         assert_eq!(etc.num_procs(), 2);
         // Row of t0 was [1, 2, 3]; dropping p1 leaves [1, 3].
         assert_eq!(etc.row(TaskId(0)), &[1.0, 3.0]);
+        for t in (0..4).map(TaskId::from_index) {
+            let old = parent.sys().etc().row(t);
+            assert_eq!(etc.row(t), &[old[0], old[2]]);
+            assert_eq!(etc.mean_exec(t), (old[0] + old[2]) / 2.0);
+        }
         assert_eq!(r.instance.sys().network().num_procs(), 2);
     }
 

@@ -33,7 +33,7 @@ use hetsched_dag::{Dag, Fingerprint, TaskId};
 use hetsched_platform::System;
 
 use crate::cost::CostAggregation;
-use crate::rank;
+use crate::rank::{self, MeanComm};
 
 /// Lazily memoized rank vectors, keyed by aggregation policy.
 ///
@@ -214,19 +214,31 @@ impl<'a> ProblemInstance<'a> {
 
     /// Upward rank (HEFT `rank_u`) under `agg`, memoized.
     pub fn upward_rank(&self, agg: CostAggregation) -> Arc<Vec<f64>> {
+        self.upward_rank_in(agg, &MeanComm::default())
+    }
+
+    /// [`Self::upward_rank`] reading a run's shared communication table
+    /// on a miss.
+    pub(crate) fn upward_rank_in(&self, agg: CostAggregation, comm: &MeanComm) -> Arc<Vec<f64>> {
         self.memoized(
             |m| &mut m.upward,
             agg,
-            |d, s| rank::upward_rank_raw(d, s, agg),
+            |d, s| rank::upward_rank_raw(d, s, agg, comm.get(d, s)),
         )
     }
 
     /// Downward rank (`rank_d`) under `agg`, memoized.
     pub fn downward_rank(&self, agg: CostAggregation) -> Arc<Vec<f64>> {
+        self.downward_rank_in(agg, &MeanComm::default())
+    }
+
+    /// [`Self::downward_rank`] reading a run's shared communication table
+    /// on a miss.
+    pub(crate) fn downward_rank_in(&self, agg: CostAggregation, comm: &MeanComm) -> Arc<Vec<f64>> {
         self.memoized(
             |m| &mut m.downward,
             agg,
-            |d, s| rank::downward_rank_raw(d, s, agg),
+            |d, s| rank::downward_rank_raw(d, s, agg, comm.get(d, s)),
         )
     }
 
@@ -248,11 +260,17 @@ impl<'a> ProblemInstance<'a> {
     /// Absolute latest start time (HCPT/MCP ALST) under `agg`, memoized;
     /// derived from the memoized upward rank.
     pub fn alst(&self, agg: CostAggregation) -> Arc<Vec<f64>> {
+        self.alst_in(agg, &MeanComm::default())
+    }
+
+    /// [`Self::alst`] reading a run's shared communication table if the
+    /// upward rank it derives from misses.
+    pub(crate) fn alst_in(&self, agg: CostAggregation, comm: &MeanComm) -> Arc<Vec<f64>> {
         self.memoized_derived(
             |m| &mut m.alst,
             agg,
             |inst| {
-                let up = inst.upward_rank(agg);
+                let up = inst.upward_rank_in(agg, comm);
                 let cp = up.iter().copied().fold(0.0f64, f64::max);
                 up.iter().map(|&r| cp - r).collect()
             },
@@ -262,7 +280,11 @@ impl<'a> ProblemInstance<'a> {
     /// PETS rank (rounded ACC + DTC + RPT recurrence) under `agg`,
     /// memoized.
     pub fn pets_rank(&self, agg: CostAggregation) -> Arc<Vec<f64>> {
-        self.memoized(|m| &mut m.pets, agg, |d, s| rank::pets_rank_raw(d, s, agg))
+        self.memoized(
+            |m| &mut m.pets,
+            agg,
+            |d, s| rank::pets_rank_raw(d, s, agg, &rank::mean_comm_table(d, s)),
+        )
     }
 
     /// Tasks on a critical path under `agg`, in topological order,
@@ -272,123 +294,141 @@ impl<'a> ProblemInstance<'a> {
             |m| &mut m.critical_path,
             agg,
             |inst| {
-                let up = inst.upward_rank(agg);
-                let down = inst.downward_rank(agg);
+                let comm = MeanComm::default();
+                let up = inst.upward_rank_in(agg, &comm);
+                let down = inst.downward_rank_in(agg, &comm);
                 rank::critical_path_from_ranks(&inst.dag, &up, &down)
             },
         )
     }
 
-    /// Seed this (freshly patched) instance's rank memo from `parent`,
-    /// recomputing only the entries `plan` marks dirty.
+    /// Seed this freshly patched instance's rank memo from `parent`,
+    /// whose problem differs from this one only in the ETC rows marked in
+    /// `exec_dirty` and the data volumes of the `comm_edges`.
     ///
-    /// For each `(kernel, aggregation)` pair the parent has computed: if
-    /// the plan says the kernel's inputs are untouched, the parent's `Arc`
-    /// is shared outright; otherwise the parent's vector is cloned and the
-    /// dirty tasks are re-evaluated *in kernel order* with the exact
-    /// per-task fold the raw kernel uses ([`rank::upward_entry`] and
-    /// friends). Clean tasks keep the parent's bits, which a full fresh
-    /// recompute would reproduce anyway (their transitive inputs are
-    /// unchanged and each fold is pure) — so every seeded vector is
+    /// Only the `(kernel, aggregation)` pairs the parent has computed are
+    /// seeded. Each is walked in kernel order, and a task is re-evaluated
+    /// with the exact per-task fold its raw kernel uses
+    /// ([`rank::upward_entry`] and friends) only when its own inputs
+    /// changed or it reads an entry whose bits changed on this walk. This
+    /// is a value cutoff: a re-evaluated entry that keeps the parent's bits
+    /// dirties none of its readers. Every entry left alone keeps the
+    /// parent's bits, which a fresh computation reproduces (its inputs are
+    /// bit-identical and each fold is pure), so every seeded vector is
     /// bit-identical to a from-scratch computation on the patched problem.
+    /// A vector in which no bit changed is the parent's `Arc`, shared.
     ///
-    /// Derived vectors (ALST, critical path) are only shared when nothing
-    /// is dirty; otherwise they are left empty and recomputed on demand
-    /// from the seeded base vectors by the same derivations, preserving
-    /// bit-identity transitively.
-    pub(crate) fn seed_memo_from(&self, parent: &ProblemInstance<'_>, plan: &SeedPlan) {
+    /// Derived vectors (ALST, critical path) are shared when every base
+    /// vector they derive from was; otherwise they are left empty and
+    /// recomputed on demand from the seeded bases by the same derivations,
+    /// preserving bit-identity transitively.
+    pub(crate) fn seed_memo_from(
+        &self,
+        parent: &ProblemInstance<'_>,
+        exec_dirty: &[bool],
+        comm_edges: &[(TaskId, TaskId)],
+    ) {
         let (dag, sys) = (self.dag(), self.sys());
+        // The scalar per edge: a patch re-evaluates a few tasks, too few
+        // to pay for a whole table.
+        let comm = |e: usize| sys.mean_comm(dag.edges()[e].data);
+        // Tasks whose own inputs changed. rank_u(t), SL(t) and PETS(t)
+        // read t's ETC row; rank_u(t) and PETS(t) also read t's outgoing
+        // volumes. rank_d(t) reads its predecessors' ETC rows and its
+        // incoming volumes.
+        let mut reads_out = exec_dirty.to_vec();
+        let mut reads_in = vec![false; exec_dirty.len()];
+        for &(u, v) in comm_edges {
+            reads_out[u.index()] = true;
+            reads_in[v.index()] = true;
+        }
+        for t in dag.task_ids().filter(|t| exec_dirty[t.index()]) {
+            for (s, _) in dag.successors(t) {
+                reads_in[s.index()] = true;
+            }
+        }
+        let backward = || dag.topo_order().iter().rev().copied();
+        let forward = || dag.topo_order().iter().copied();
+        // rank_u and SL entries are read by predecessors, rank_d and PETS
+        // entries by successors
+        let preds = |t: TaskId, dirty: &mut [bool]| {
+            for (p, _) in dag.predecessors(t) {
+                dirty[p.index()] = true;
+            }
+        };
+        let succs = |t: TaskId, dirty: &mut [bool]| {
+            for (s, _) in dag.successors(t) {
+                dirty[s.index()] = true;
+            }
+        };
+
         let parent_memo = parent.memo();
         let mut memo = self.memo();
-        for &(agg, ref v) in parent_memo.upward.iter() {
-            let seeded = recompute_masked(
-                v,
-                plan.upward.as_deref(),
-                dag.topo_order().iter().rev().copied(),
-                |t, out| rank::upward_entry(dag, sys, agg, t, out),
-            );
+        for &(agg, ref v) in &parent_memo.upward {
+            let entry = |t, r: &[f64]| rank::upward_entry(dag, sys, agg, t, r, comm);
+            let seeded = reseed(v, reads_out.clone(), backward(), entry, preds);
             memo.upward.push((agg, seeded));
         }
-        for &(agg, ref v) in parent_memo.downward.iter() {
-            let seeded = recompute_masked(
-                v,
-                plan.downward.as_deref(),
-                dag.topo_order().iter().copied(),
-                |t, out| rank::downward_entry(dag, sys, agg, t, out),
-            );
+        for &(agg, ref v) in &parent_memo.downward {
+            let entry = |t, r: &[f64]| rank::downward_entry(dag, sys, agg, t, r, comm);
+            let seeded = reseed(v, reads_in.clone(), forward(), entry, succs);
             memo.downward.push((agg, seeded));
         }
-        for &(agg, ref v) in parent_memo.static_level.iter() {
-            let seeded = recompute_masked(
-                v,
-                plan.static_level.as_deref(),
-                dag.topo_order().iter().rev().copied(),
-                |t, out| rank::static_level_entry(dag, sys, agg, t, out),
-            );
+        for &(agg, ref v) in &parent_memo.static_level {
+            let entry = |t, r: &[f64]| rank::static_level_entry(dag, sys, agg, t, r);
+            let seeded = reseed(v, exec_dirty.to_vec(), backward(), entry, preds);
             memo.static_level.push((agg, seeded));
         }
-        for &(agg, ref v) in parent_memo.pets.iter() {
-            let seeded = recompute_masked(
-                v,
-                plan.pets.as_deref(),
-                dag.topo_order().iter().copied(),
-                |t, out| rank::pets_entry(dag, sys, agg, t, out),
-            );
+        for &(agg, ref v) in &parent_memo.pets {
+            let entry = |t, r: &[f64]| rank::pets_entry(dag, sys, agg, t, r, comm);
+            let seeded = reseed(v, reads_out.clone(), forward(), entry, succs);
             memo.pets.push((agg, seeded));
         }
-        if plan.untouched() {
-            for &(agg, ref v) in parent_memo.alst.iter() {
+
+        let shared = |mine: &[(CostAggregation, Arc<Vec<f64>>)],
+                      theirs: &[(CostAggregation, Arc<Vec<f64>>)],
+                      agg| {
+            matches!((lookup(mine, agg), lookup(theirs, agg)), (Some(a), Some(b)) if Arc::ptr_eq(&a, &b))
+        };
+        for &(agg, ref v) in &parent_memo.alst {
+            if shared(&memo.upward, &parent_memo.upward, agg) {
                 memo.alst.push((agg, Arc::clone(v)));
             }
-            for &(agg, ref v) in parent_memo.critical_path.iter() {
+        }
+        for &(agg, ref v) in &parent_memo.critical_path {
+            if shared(&memo.upward, &parent_memo.upward, agg)
+                && shared(&memo.downward, &parent_memo.downward, agg)
+            {
                 memo.critical_path.push((agg, Arc::clone(v)));
             }
         }
     }
 }
 
-/// Per-kernel dirty masks for [`ProblemInstance::seed_memo_from`]: `None`
-/// means the kernel's inputs are untouched by the delta (share the
-/// parent's `Arc`), `Some(mask)` lists the tasks whose entries must be
-/// re-evaluated on the patched problem.
-#[derive(Debug, Default)]
-pub(crate) struct SeedPlan {
-    pub upward: Option<Vec<bool>>,
-    pub downward: Option<Vec<bool>>,
-    pub static_level: Option<Vec<bool>>,
-    pub pets: Option<Vec<bool>>,
-}
-
-impl SeedPlan {
-    /// Whether no kernel has any dirty task at all (a schedule-neutral
-    /// delta such as a pure task-weight change).
-    pub(crate) fn untouched(&self) -> bool {
-        self.upward.is_none()
-            && self.downward.is_none()
-            && self.static_level.is_none()
-            && self.pets.is_none()
-    }
-}
-
-/// Clone `parent` and re-evaluate the `mask`ed tasks in `order` with
-/// `entry` (`None` mask: share the parent `Arc` unchanged).
-fn recompute_masked(
+/// Re-evaluate with `entry`, in `order`, the tasks marked in `dirty`; when
+/// an entry's bits change, `readers` marks the tasks that read it. The
+/// parent vector is copied on the first changed bit, and shared when none
+/// changes.
+fn reseed(
     parent: &Arc<Vec<f64>>,
-    mask: Option<&[bool]>,
+    mut dirty: Vec<bool>,
     order: impl Iterator<Item = TaskId>,
     entry: impl Fn(TaskId, &[f64]) -> f64,
+    readers: impl Fn(TaskId, &mut [bool]),
 ) -> Arc<Vec<f64>> {
-    let Some(mask) = mask else {
-        return Arc::clone(parent);
-    };
-    let mut out = (**parent).clone();
+    let mut seeded: Option<Vec<f64>> = None;
     for t in order {
-        if mask[t.index()] {
-            let v = entry(t, &out);
-            out[t.index()] = v;
+        if !dirty[t.index()] {
+            continue;
+        }
+        let current = seeded.as_deref().unwrap_or(parent);
+        let v = entry(t, current);
+        if v.to_bits() != current[t.index()].to_bits() {
+            seeded.get_or_insert_with(|| parent.to_vec())[t.index()] = v;
+            readers(t, &mut dirty);
         }
     }
-    Arc::new(out)
+    seeded.map_or_else(|| Arc::clone(parent), Arc::new)
 }
 
 #[cfg(test)]
@@ -414,21 +454,10 @@ mod tests {
         let a = inst.upward_rank(agg);
         let b = inst.upward_rank(agg);
         assert!(Arc::ptr_eq(&a, &b), "second query must share the memo");
-        let fresh = rank::upward_rank_raw(&dag, &sys, agg);
+        let fresh = rank::oracle::upward_rank(&dag, &sys, agg);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a), bits(&fresh));
-        assert_eq!(
-            bits(&inst.downward_rank(agg)),
-            bits(&rank::downward_rank_raw(&dag, &sys, agg))
-        );
-        assert_eq!(
-            bits(&inst.static_level(agg)),
-            bits(&rank::static_level_raw(&dag, &sys, agg))
-        );
-        assert_eq!(
-            bits(&inst.pets_rank(agg)),
-            bits(&rank::pets_rank_raw(&dag, &sys, agg))
-        );
+        rank::oracle::assert_ranks_match(&inst, &dag, &sys, agg);
     }
 
     #[test]

@@ -255,6 +255,27 @@ proptest! {
     }
 
     #[test]
+    fn table_rank_kernels_match_the_scalar_folds_bitwise(
+        n in 1usize..40,
+        edge_prob in 0.0f64..0.4,
+        n_procs in 1usize..10,
+        seed in 0u64..10_000,
+    ) {
+        // The per-edge table must reproduce the scalar `mean_comm` fold on
+        // every edge, so every communication-aware rank keeps its bits: a
+        // heterogeneous network makes each pair's cost distinct.
+        let dag = random_dag(n, edge_prob, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7ab1e);
+        let sys = System::fully_random(
+            &dag, n_procs, &EtcParams::range_based(1.0), (0.0, 2.0), (0.5, 8.0), &mut rng,
+        );
+        for agg in crate::rank::oracle::AGGS {
+            let inst = crate::ProblemInstance::from_refs(&dag, &sys);
+            crate::rank::oracle::assert_ranks_match(&inst, &dag, &sys, agg);
+        }
+    }
+
+    #[test]
     fn insertion_start_never_later_than_append_per_decision(
         n in 2usize..25,
         seed in 0u64..10_000,

@@ -10,7 +10,15 @@
 //! same instance computes each `(rank, aggregation)` pair once. The
 //! `*_raw` kernels hold the actual folds; the memo only caches their
 //! results, so values are bit-identical to a fresh computation.
+//!
+//! Every communication-aware fold reads an edge's mean communication cost
+//! `c̄` through a closure over its edge id. A full kernel reads a table of
+//! every edge's cost, built once per scheduling run and dropped with it;
+//! the incremental re-seeding of patched instances, which re-evaluates a
+//! few tasks, calls [`System::mean_comm`] per edge instead. Both give the
+//! same bits, so the folds agree either way.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use hetsched_dag::{Dag, TaskId};
@@ -18,6 +26,35 @@ use hetsched_platform::System;
 
 use crate::cost::CostAggregation;
 use crate::instance::ProblemInstance;
+
+/// Mean communication cost of every edge of `dag` on `sys`, indexed like
+/// [`Dag::edges`]: entry `e` is `sys.mean_comm(dag.edges()[e].data)` bit
+/// for bit, computed by the batched
+/// [`hetsched_platform::Network::mean_comm_times`].
+pub(crate) fn mean_comm_table(dag: &Dag, sys: &System) -> Vec<f64> {
+    let data: Vec<f64> = dag.edges().iter().map(|e| e.data).collect();
+    let mut out = vec![0.0; data.len()];
+    sys.network().mean_comm_times(&data, &mut out);
+    out
+}
+
+/// One scheduling run's [`mean_comm_table`], built on first use and
+/// dropped with the run, so a run that reads several communication-aware
+/// ranks (CPOP's upward and downward ranks, ILS's rank and critical
+/// children) folds each edge's cost once. Nothing per-edge outlives the
+/// run: the instance memo keeps only the rank vectors.
+#[derive(Debug, Default)]
+pub(crate) struct MeanComm(OnceCell<Vec<f64>>);
+
+impl MeanComm {
+    /// The table for `(dag, sys)`; every call within one run must pass the
+    /// same pair.
+    pub(crate) fn get(&self, dag: &Dag, sys: &System) -> &[f64] {
+        let table = self.0.get_or_init(|| mean_comm_table(dag, sys));
+        debug_assert_eq!(table.len(), dag.num_edges());
+        table
+    }
+}
 
 /// Upward rank of every task (HEFT's `rank_u`):
 ///
@@ -45,18 +82,24 @@ pub fn upward_rank(inst: &ProblemInstance, agg: CostAggregation) -> Arc<Vec<f64>
     inst.upward_rank(agg)
 }
 
-pub(crate) fn upward_rank_raw(dag: &Dag, sys: &System, agg: CostAggregation) -> Vec<f64> {
+pub(crate) fn upward_rank_raw(
+    dag: &Dag,
+    sys: &System,
+    agg: CostAggregation,
+    comm: &[f64],
+) -> Vec<f64> {
     let mut rank = vec![0.0f64; dag.num_tasks()];
     for &t in dag.topo_order().iter().rev() {
-        rank[t.index()] = upward_entry(dag, sys, agg, t, &rank);
+        rank[t.index()] = upward_entry(dag, sys, agg, t, &rank, |e| comm[e]);
     }
     rank
 }
 
 /// The per-task fold of [`upward_rank_raw`], shared with the incremental
-/// dirty-region recompute of [`ProblemInstance::apply_deltas`]
-/// (`crate::delta`) so both paths evaluate the identical expression — the
-/// basis of the bit-identity argument for seeded rank memos.
+/// re-seeding of [`ProblemInstance::apply_deltas`] (`crate::delta`) so
+/// both paths evaluate the identical expression — the basis of the
+/// bit-identity argument for seeded rank memos. `comm(e)` is the mean
+/// communication cost of edge `e` (an index into [`Dag::edges`]).
 #[inline]
 pub(crate) fn upward_entry(
     dag: &Dag,
@@ -64,10 +107,12 @@ pub(crate) fn upward_entry(
     agg: CostAggregation,
     t: TaskId,
     rank: &[f64],
+    comm: impl Fn(usize) -> f64,
 ) -> f64 {
+    let edges = dag.edges();
     let tail = dag
-        .successors(t)
-        .map(|(s, data)| sys.mean_comm(data) + rank[s.index()])
+        .out_edge_range(t)
+        .map(|e| comm(e) + rank[edges[e].dst.index()])
         .fold(0.0f64, f64::max);
     agg.exec(sys, t) + tail
 }
@@ -85,10 +130,15 @@ pub fn downward_rank(inst: &ProblemInstance, agg: CostAggregation) -> Arc<Vec<f6
     inst.downward_rank(agg)
 }
 
-pub(crate) fn downward_rank_raw(dag: &Dag, sys: &System, agg: CostAggregation) -> Vec<f64> {
+pub(crate) fn downward_rank_raw(
+    dag: &Dag,
+    sys: &System,
+    agg: CostAggregation,
+    comm: &[f64],
+) -> Vec<f64> {
     let mut rank = vec![0.0f64; dag.num_tasks()];
     for &t in dag.topo_order() {
-        rank[t.index()] = downward_entry(dag, sys, agg, t, &rank);
+        rank[t.index()] = downward_entry(dag, sys, agg, t, &rank, |e| comm[e]);
     }
     rank
 }
@@ -101,14 +151,20 @@ pub(crate) fn downward_entry(
     agg: CostAggregation,
     t: TaskId,
     rank: &[f64],
+    comm: impl Fn(usize) -> f64,
 ) -> f64 {
-    dag.predecessors(t)
-        .map(|(p, data)| rank[p.index()] + agg.exec(sys, p) + sys.mean_comm(data))
+    let edges = dag.edges();
+    dag.in_edge_ids(t)
+        .iter()
+        .map(|&e| {
+            let p = edges[e as usize].src;
+            rank[p.index()] + agg.exec(sys, p) + comm(e as usize)
+        })
         .fold(0.0f64, f64::max)
 }
 
 /// Static level: like [`upward_rank`] but ignoring communication (the
-/// `SL` of DLS).
+/// `SL` of DLS), so it needs no communication table.
 pub fn static_level(inst: &ProblemInstance, agg: CostAggregation) -> Arc<Vec<f64>> {
     inst.static_level(agg)
 }
@@ -159,10 +215,15 @@ pub fn pets_rank(inst: &ProblemInstance, agg: CostAggregation) -> Arc<Vec<f64>> 
     inst.pets_rank(agg)
 }
 
-pub(crate) fn pets_rank_raw(dag: &Dag, sys: &System, agg: CostAggregation) -> Vec<f64> {
+pub(crate) fn pets_rank_raw(
+    dag: &Dag,
+    sys: &System,
+    agg: CostAggregation,
+    comm: &[f64],
+) -> Vec<f64> {
     let mut rank = vec![0.0f64; dag.num_tasks()];
     for &t in dag.topo_order() {
-        rank[t.index()] = pets_entry(dag, sys, agg, t, &rank);
+        rank[t.index()] = pets_entry(dag, sys, agg, t, &rank, |e| comm[e]);
     }
     rank
 }
@@ -175,9 +236,10 @@ pub(crate) fn pets_entry(
     agg: CostAggregation,
     t: TaskId,
     rank: &[f64],
+    comm: impl Fn(usize) -> f64,
 ) -> f64 {
     let acc = agg.exec(sys, t);
-    let dtc: f64 = dag.successors(t).map(|(_, data)| sys.mean_comm(data)).sum();
+    let dtc: f64 = dag.out_edge_range(t).map(comm).sum();
     let rpt = dag
         .predecessors(t)
         .map(|(p, _)| rank[p.index()])
@@ -214,6 +276,100 @@ pub(crate) fn critical_path_from_ranks(dag: &Dag, up: &[f64], down: &[f64]) -> V
         .copied()
         .filter(|t| (up[t.index()] + down[t.index()] - cp).abs() <= eps)
         .collect()
+}
+
+/// The rank kernels with every fold calling the scalar
+/// [`System::mean_comm`] per edge over the adjacency iterators: the
+/// bit-identity oracle for the table-driven kernels and the seeded memos.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    pub(crate) fn upward_rank(dag: &Dag, sys: &System, agg: CostAggregation) -> Vec<f64> {
+        let mut rank = vec![0.0f64; dag.num_tasks()];
+        for &t in dag.topo_order().iter().rev() {
+            let tail = dag
+                .successors(t)
+                .map(|(s, data)| sys.mean_comm(data) + rank[s.index()])
+                .fold(0.0f64, f64::max);
+            rank[t.index()] = agg.exec(sys, t) + tail;
+        }
+        rank
+    }
+
+    pub(crate) fn downward_rank(dag: &Dag, sys: &System, agg: CostAggregation) -> Vec<f64> {
+        let mut rank = vec![0.0f64; dag.num_tasks()];
+        for &t in dag.topo_order() {
+            rank[t.index()] = dag
+                .predecessors(t)
+                .map(|(p, data)| rank[p.index()] + agg.exec(sys, p) + sys.mean_comm(data))
+                .fold(0.0f64, f64::max);
+        }
+        rank
+    }
+
+    pub(crate) fn static_level(dag: &Dag, sys: &System, agg: CostAggregation) -> Vec<f64> {
+        let mut rank = vec![0.0f64; dag.num_tasks()];
+        for &t in dag.topo_order().iter().rev() {
+            let tail = dag
+                .successors(t)
+                .map(|(s, _)| rank[s.index()])
+                .fold(0.0f64, f64::max);
+            rank[t.index()] = agg.exec(sys, t) + tail;
+        }
+        rank
+    }
+
+    pub(crate) fn pets_rank(dag: &Dag, sys: &System, agg: CostAggregation) -> Vec<f64> {
+        let mut rank = vec![0.0f64; dag.num_tasks()];
+        for &t in dag.topo_order() {
+            let acc = agg.exec(sys, t);
+            let dtc: f64 = dag.successors(t).map(|(_, data)| sys.mean_comm(data)).sum();
+            let rpt = dag
+                .predecessors(t)
+                .map(|(p, _)| rank[p.index()])
+                .fold(0.0f64, f64::max);
+            rank[t.index()] = (acc + dtc + rpt).round();
+        }
+        rank
+    }
+
+    /// `v` as raw bits, for bit-for-bit comparisons.
+    pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every aggregation policy the ranks are parameterized by.
+    pub(crate) const AGGS: [CostAggregation; 5] = [
+        CostAggregation::Mean,
+        CostAggregation::Median,
+        CostAggregation::Best,
+        CostAggregation::Worst,
+        CostAggregation::MeanStd(1.0),
+    ];
+
+    /// Assert that `inst`'s four rank kernels under `agg` bit-equal the
+    /// scalar folds on `(dag, sys)`.
+    pub(crate) fn assert_ranks_match(
+        inst: &ProblemInstance,
+        dag: &Dag,
+        sys: &System,
+        agg: CostAggregation,
+    ) {
+        assert_eq!(
+            bits(&inst.upward_rank(agg)),
+            bits(&upward_rank(dag, sys, agg))
+        );
+        assert_eq!(
+            bits(&inst.downward_rank(agg)),
+            bits(&downward_rank(dag, sys, agg))
+        );
+        assert_eq!(
+            bits(&inst.static_level(agg)),
+            bits(&static_level(dag, sys, agg))
+        );
+        assert_eq!(bits(&inst.pets_rank(agg)), bits(&pets_rank(dag, sys, agg)));
+    }
 }
 
 #[cfg(test)]
@@ -297,9 +453,12 @@ mod tests {
     fn single_proc_system_mean_comm_is_zero() {
         let dag = dag_from_edges(&[1.0, 1.0], &[(0, 1, 100.0)]).unwrap();
         let sys = System::homogeneous_unit(&dag, 1);
-        let r = upward_rank_raw(&dag, &sys, CostAggregation::Mean);
+        let r = upward_rank(
+            &ProblemInstance::from_refs(&dag, &sys),
+            CostAggregation::Mean,
+        );
         // comm collapses to zero on one processor
-        assert_eq!(r, vec![2.0, 1.0]);
+        assert_eq!(*r, vec![2.0, 1.0]);
     }
 
     #[test]
@@ -312,31 +471,30 @@ mod tests {
     #[test]
     fn raw_and_memoized_agree_bitwise() {
         let (dag, sys) = setup();
-        let inst = ProblemInstance::from_refs(&dag, &sys);
-        for agg in [
-            CostAggregation::Mean,
-            CostAggregation::Median,
-            CostAggregation::Best,
-            CostAggregation::Worst,
-            CostAggregation::MeanStd(1.0),
-        ] {
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&upward_rank(&inst, agg)),
-                bits(&upward_rank_raw(&dag, &sys, agg))
-            );
-            assert_eq!(
-                bits(&downward_rank(&inst, agg)),
-                bits(&downward_rank_raw(&dag, &sys, agg))
-            );
-            assert_eq!(
-                bits(&static_level(&inst, agg)),
-                bits(&static_level_raw(&dag, &sys, agg))
-            );
-            assert_eq!(
-                bits(&pets_rank(&inst, agg)),
-                bits(&pets_rank_raw(&dag, &sys, agg))
-            );
+        for agg in oracle::AGGS {
+            oracle::assert_ranks_match(&ProblemInstance::from_refs(&dag, &sys), &dag, &sys, agg);
         }
+    }
+
+    #[test]
+    fn mean_comm_table_is_the_scalar_per_edge() {
+        let dag = dag_from_edges(
+            &[1.0; 5],
+            &[
+                (0, 1, 0.5),
+                (0, 2, 3.0),
+                (1, 3, 7.25),
+                (2, 3, 0.0),
+                (3, 4, 1e9),
+            ],
+        )
+        .unwrap();
+        let sys = System::homogeneous(&dag, 4, 0.3, 1.7);
+        let table = MeanComm::default();
+        let got = table.get(&dag, &sys);
+        for (e, edge) in dag.edges().iter().enumerate() {
+            assert_eq!(got[e].to_bits(), sys.mean_comm(edge.data).to_bits());
+        }
+        assert!(std::ptr::eq(got, table.get(&dag, &sys)), "built once");
     }
 }

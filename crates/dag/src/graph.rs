@@ -86,9 +86,22 @@ impl Dag {
     /// Outgoing edges of `t` as a contiguous slice.
     #[inline]
     pub fn out_edges(&self, t: TaskId) -> &[Edge] {
-        let lo = self.succ_off[t.index()] as usize;
-        let hi = self.succ_off[t.index() + 1] as usize;
-        &self.edges[lo..hi]
+        &self.edges[self.out_edge_range(t)]
+    }
+
+    /// Indices into [`Dag::edges`] of `t`'s outgoing edges, in the order
+    /// of [`Dag::out_edges`]. Per-edge tables indexed like
+    /// [`Dag::edges`] are read through this.
+    #[inline]
+    pub fn out_edge_range(&self, t: TaskId) -> std::ops::Range<usize> {
+        self.succ_off[t.index()] as usize..self.succ_off[t.index() + 1] as usize
+    }
+
+    /// Indices into [`Dag::edges`] of `t`'s incoming edges, in the order
+    /// of [`Dag::in_edges`].
+    #[inline]
+    pub fn in_edge_ids(&self, t: TaskId) -> &[u32] {
+        &self.pred_edges[self.pred_off[t.index()] as usize..self.pred_off[t.index() + 1] as usize]
     }
 
     /// Successors of `t` with the data volume on the connecting edge.
@@ -98,9 +111,7 @@ impl Dag {
 
     /// Incoming edges of `t` (as references into the shared edge table).
     pub fn in_edges(&self, t: TaskId) -> impl ExactSizeIterator<Item = &Edge> + '_ {
-        let lo = self.pred_off[t.index()] as usize;
-        let hi = self.pred_off[t.index() + 1] as usize;
-        self.pred_edges[lo..hi]
+        self.in_edge_ids(t)
             .iter()
             .map(move |&i| &self.edges[i as usize])
     }
@@ -271,6 +282,23 @@ mod tests {
         assert_eq!(g.in_degree(d), 2);
         assert_eq!(g.out_degree(d), 0);
         assert_eq!(g.in_degree(a), 0);
+    }
+
+    #[test]
+    fn edge_ids_index_the_edge_table_in_adjacency_order() {
+        let g = diamond();
+        for t in g.task_ids() {
+            let out: Vec<_> = g.out_edge_range(t).map(|e| g.edges()[e]).collect();
+            assert_eq!(out, g.out_edges(t));
+            let inc: Vec<_> = g
+                .in_edge_ids(t)
+                .iter()
+                .map(|&e| g.edges()[e as usize])
+                .collect();
+            assert_eq!(inc, g.in_edges(t).copied().collect::<Vec<_>>());
+        }
+        assert_eq!(g.out_edge_range(TaskId(3)), 4..4);
+        assert_eq!(g.in_edge_ids(TaskId(3)), &[2, 3]);
     }
 
     #[test]

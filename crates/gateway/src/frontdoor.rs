@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 
-use hetsched_serve::protocol::Response;
+use hetsched_serve::protocol::{Response, INVALID_UTF8};
 
 use crate::router::Router;
 use crate::GatewayConfig;
@@ -104,6 +104,10 @@ enum PendingLine {
     /// The connection's pending queue was over depth when this line
     /// arrived: answer `shed` (in order) without routing.
     Shed,
+    /// The line's bytes are not valid UTF-8: answer
+    /// [`INVALID_UTF8`](hetsched_serve::protocol::INVALID_UTF8) (in order)
+    /// without routing.
+    InvalidUtf8,
 }
 
 /// Per-connection reactor state.
@@ -217,21 +221,17 @@ impl GatewayServer {
                     continue;
                 }
                 while let Some(front) = conn.pending.pop_front() {
-                    match front {
+                    let reply = match front {
                         PendingLine::Shed => {
-                            // Ordered: every earlier reply has been
-                            // written (busy was false).
                             crate::metrics::bump(&self.router.metrics().sheds);
-                            let line = Response::shed(format!(
+                            Response::shed(format!(
                                 "connection backlog over {} pending requests",
                                 config.max_pending_per_conn
                             ))
-                            .to_line();
-                            if write_line(&conn.writer, &mut scratch, &line).is_err() {
-                                conn.dead = true;
-                                break;
-                            }
-                            progressed = true;
+                        }
+                        PendingLine::InvalidUtf8 => {
+                            crate::metrics::bump(&self.router.metrics().errors);
+                            Response::error(INVALID_UTF8)
                         }
                         PendingLine::Job(line, arrival) => {
                             let job = DispatchJob {
@@ -256,7 +256,14 @@ impl GatewayServer {
                             }
                             break;
                         }
+                    };
+                    // Ordered: every earlier reply has been written (busy
+                    // was false).
+                    if write_line(&conn.writer, &mut scratch, &reply.to_line()).is_err() {
+                        conn.dead = true;
+                        break;
                     }
+                    progressed = true;
                 }
             }
 
@@ -333,16 +340,19 @@ impl ClientConn {
             // Slice the line in place; only a queued job owns a String
             // (it must outlive the buffer), so blank lines and shed
             // markers cost no allocation at all.
-            {
-                let line = String::from_utf8_lossy(&self.buf[..pos]);
-                let line = line.trim();
-                if !line.is_empty() {
+            match std::str::from_utf8(&self.buf[..pos]).map(str::trim) {
+                Ok("") => {}
+                Ok(line) => {
                     if self.pending.len() >= max_pending {
                         self.pending.push_back(PendingLine::Shed);
                     } else {
                         self.pending
                             .push_back(PendingLine::Job(line.to_string(), arrival));
                     }
+                    progressed = true;
+                }
+                Err(_) => {
+                    self.pending.push_back(PendingLine::InvalidUtf8);
                     progressed = true;
                 }
             }

@@ -17,6 +17,7 @@
 //!    healthy shard serves the request (a `reroute`); if none can, the
 //!    client gets a structured `error` — never a hang.
 
+use std::fmt::Write as _;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -201,7 +202,7 @@ impl Router {
             return reply;
         }
         bump(&self.metrics.wire_misses);
-        self.handle_line_slow(line, arrival, Some(scan.digest))
+        self.handle_line_slow(line, arrival, Some(&scan))
     }
 
     /// Whether the scanned request's deadline has not yet expired on
@@ -230,9 +231,15 @@ impl Router {
         }
     }
 
-    /// The full parse-and-route path. `store` carries the wire digest of
-    /// a scanned-but-missed line; a stable reply is written back under it.
-    fn handle_line_slow(&self, line: &str, arrival: Instant, store: Option<u64>) -> Arc<String> {
+    /// The full parse-and-route path. `scan` is the scan of a
+    /// scanned-but-missed line: a stable reply is written back under its
+    /// digest, and the line is forwarded as the client's own bytes.
+    fn handle_line_slow(
+        &self,
+        line: &str,
+        arrival: Instant,
+        scan: Option<&WireScan>,
+    ) -> Arc<String> {
         let reply = match Request::parse(line) {
             Err(e) => {
                 bump(&self.metrics.errors);
@@ -249,11 +256,11 @@ impl Router {
                 .to_line(),
             ),
             Ok(Request::Shutdown) => Arc::new(self.shutdown_line()),
-            Ok(req) => self.route(req, arrival),
+            Ok(req) => self.route(req, arrival, scan.map(|scan| Scanned { line, scan })),
         };
-        if let Some(digest) = store {
+        if let Some(scan) = scan {
             if wire::reply_stable(reply.as_bytes()) {
-                self.wire.lock().insert(digest, reply.clone());
+                self.wire.lock().insert(scan.digest, reply.clone());
             }
         }
         reply
@@ -273,7 +280,7 @@ impl Router {
     /// outcome and, for traced requests, the gateway-side spans and the
     /// `timing.gateway` block around the actual routing in
     /// [`Router::route_inner`].
-    fn route(&self, req: Request, arrival: Instant) -> Arc<String> {
+    fn route(&self, req: Request, arrival: Instant, scanned: Option<Scanned>) -> Arc<String> {
         if self.is_shutting_down() {
             return Arc::new(Response::ShuttingDown.to_line());
         }
@@ -300,7 +307,7 @@ impl Router {
             )
         };
         let mut scratch = TraceScratch::new(trace_id, arrival);
-        let reply = self.route_inner(&req, deadline_ms, arrival, &mut scratch);
+        let reply = self.route_inner(&req, scanned, deadline_ms, arrival, &mut scratch);
         self.finish_route(reply, op, deadline_ms, arrival, scratch)
     }
 
@@ -308,6 +315,7 @@ impl Router {
     fn route_inner(
         &self,
         req: &Request,
+        scanned: Option<Scanned>,
         deadline_ms: Option<u64>,
         arrival: Instant,
         scratch: &mut TraceScratch,
@@ -424,7 +432,7 @@ impl Router {
         scratch.span("admission", 0, scratch.admission_us, "");
 
         let reply = self.coalesce(key, deadline, deadline_at, scratch, |router, scratch| {
-            router.lead(req, home, deadline_at, scratch)
+            router.lead(req, scanned, home, deadline_at, scratch)
         });
         if let Some(parent_fp) = parent {
             if reply.starts_with(UNKNOWN_PARENT_REPLY) {
@@ -593,7 +601,7 @@ impl Router {
                 algorithm: algorithm.to_string(),
                 options: options.clone(),
             };
-            let reply = self.lead(&sub_req, home, deadline_at, scratch);
+            let reply = self.lead(&sub_req, None, home, deadline_at, scratch);
             let Ok(Response::Ok {
                 many: Some(body), ..
             }) = serde_json::from_str::<Response>(&reply)
@@ -673,10 +681,13 @@ impl Router {
     }
 
     /// Forward a request as the single-flight leader: admission control,
-    /// deadline propagation, home-shard affinity with failover.
+    /// deadline propagation, home-shard affinity with failover. A
+    /// `scanned` line is forwarded as the client's bytes with only the
+    /// deadline rewritten; anything else is re-serialized.
     fn lead(
         &self,
         req: &Request,
+        scanned: Option<Scanned>,
         home: usize,
         deadline_at: Instant,
         scratch: &mut TraceScratch,
@@ -710,7 +721,10 @@ impl Router {
                 continue;
             };
             let sent_at = Instant::now();
-            let line = forward_line(req, remaining, scratch.off(sent_at));
+            let line = match scanned {
+                Some(Scanned { line, scan }) => splice_deadline(line, scan, remaining),
+                None => forward_line(req, remaining, scratch.off(sent_at)),
+            };
             scratch.attempts += 1;
             let outcome = backend.round_trip(&line, deadline_at + SHARD_GRACE);
             let round_trip_us = sent_at.elapsed().as_micros() as u64;
@@ -940,13 +954,60 @@ fn patch_dedup_key(
     fp.finish()
 }
 
+/// The deadline forwarded to a shard: the time actually remaining, so the
+/// shard enforces the client's clock (minus gateway queueing) rather than
+/// its own default.
+fn remaining_ms(remaining: Duration) -> u64 {
+    (remaining.as_millis() as u64).max(1)
+}
+
+/// A client line the wire scanner accepted, with its scan: what
+/// [`splice_deadline`] forwards.
+#[derive(Clone, Copy)]
+struct Scanned<'l> {
+    line: &'l str,
+    scan: &'l WireScan,
+}
+
+/// The client's `line` with `options.deadline_ms` set to the remaining
+/// time: the value rewritten in place, the member inserted at the head of
+/// the `options` object, or an `options` object appended to the request.
+/// Every other byte is the client's, so setting one field costs no clone
+/// or re-serialization of the request. The scanner refuses traced lines;
+/// they go through [`forward_line`] for their hop stamps.
+fn splice_deadline(line: &str, scan: &WireScan, remaining: Duration) -> String {
+    let ms = remaining_ms(remaining);
+    let mut out = String::with_capacity(line.len() + 40);
+    match (scan.deadline_range, scan.options_body) {
+        (Some((lo, hi)), _) => {
+            out.push_str(&line[..lo]);
+            let _ = write!(out, "{ms}");
+            out.push_str(&line[hi..]);
+        }
+        (None, Some(body)) => {
+            out.push_str(&line[..body]);
+            let _ = write!(out, "\"deadline_ms\":{ms}");
+            if !line[body..].starts_with('}') {
+                out.push(',');
+            }
+            out.push_str(&line[body..]);
+        }
+        (None, None) => {
+            // A scanned line is one object with at least its `op` member,
+            // and its closing brace is the last byte.
+            out.push_str(&line[..line.len() - 1]);
+            let _ = write!(out, ",\"options\":{{\"deadline_ms\":{ms}}}}}");
+        }
+    }
+    out
+}
+
 /// Re-serialize a request with its deadline rewritten to the time
-/// actually remaining, so the shard enforces the client's clock (minus
-/// gateway queueing) rather than its own default. A traced request also
-/// gets a `gateway` hop stamp (`sent_at_us` on the gateway's clock,
-/// relative to the request's arrival) appended to its trace context.
+/// actually remaining (see [`remaining_ms`]). A traced request also gets a
+/// `gateway` hop stamp (`sent_at_us` on the gateway's clock, relative to
+/// the request's arrival) appended to its trace context.
 fn forward_line(req: &Request, remaining: Duration, sent_at_us: u64) -> String {
-    let remaining_ms = (remaining.as_millis() as u64).max(1);
+    let remaining_ms = remaining_ms(remaining);
     let mut rewritten = req.clone();
     match &mut rewritten {
         Request::Schedule { options, .. }
@@ -1280,6 +1341,81 @@ mod tests {
         assert_eq!(instances.len(), 1);
         assert_eq!(options.deadline_ms, Some(321));
         assert_eq!(options.jobs, Some(2), "other options must survive");
+    }
+
+    /// Request lines shaped like the `tests/wire_path.rs` grid (every
+    /// scheduling op, with and without a deadline) plus empty, absent and
+    /// other-member `options`.
+    fn splice_grid() -> Vec<String> {
+        let dag = |n: usize| {
+            let tasks: Vec<String> = (0..n)
+                .map(|i| format!("{{\"weight\":{}}}", i + 1))
+                .collect();
+            let edges: Vec<String> = (1..n)
+                .map(|i| format!("{{\"src\":0,\"dst\":{i},\"data\":2.0}}"))
+                .collect();
+            format!(
+                "{{\"tasks\":[{}],\"edges\":[{}]}}",
+                tasks.join(","),
+                edges.join(",")
+            )
+        };
+        let system = r#"{"processors":{"kind":"homogeneous","count":3},"network":{"topology":"fully_connected","bandwidth":1.0}}"#;
+        let mut lines = Vec::new();
+        for options in [
+            r#","options":{"deadline_ms":10000}"#,
+            r#","options":{"jobs":2,"deadline_ms":7}"#,
+            r#","options":{"deadline_ms":0,"simulate":true}"#,
+            r#","options":{"simulate":true,"jobs":3}"#,
+            r#","options":{}"#,
+            "",
+        ] {
+            lines.push(format!(
+                r#"{{"op":"schedule","dag":{},"system":{system},"algorithm":"HEFT"{options}}}"#,
+                dag(8)
+            ));
+            lines.push(format!(
+                r#"{{"op":"portfolio","dag":{},"system":{system},"algorithms":["HEFT","CPOP"]{options}}}"#,
+                dag(6)
+            ));
+            lines.push(format!(
+                r#"{{"op":"schedule_many","instances":[{{"dag":{},"system":{system}}},{{"dag":{},"system":{system}}}],"algorithm":"HEFT"{options}}}"#,
+                dag(4),
+                dag(5)
+            ));
+            lines.push(format!(
+                r#"{{"op":"patch","parent":"0123456789abcdef","algorithm":"HEFT","deltas":[{{"kind":"etc_entry","task":1,"proc":0,"time":3.5}}]{options}}}"#
+            ));
+        }
+        lines
+    }
+
+    #[test]
+    fn spliced_lines_parse_to_the_forwarded_request() {
+        for line in splice_grid() {
+            let scan = wire::scan(line.as_bytes()).unwrap_or_else(|| panic!("scans: {line}"));
+            let req = Request::parse(&line).unwrap();
+            for ms in [1, 321, 86_400_000] {
+                let remaining = Duration::from_millis(ms);
+                let spliced = splice_deadline(&line, &scan, remaining);
+                let via_splice = Request::parse(&spliced)
+                    .unwrap_or_else(|e| panic!("spliced line `{spliced}` does not parse: {e}"));
+                let via_serde = Request::parse(&forward_line(&req, remaining, 0)).unwrap();
+                assert_eq!(
+                    serde_json::to_string(&via_splice).unwrap(),
+                    serde_json::to_string(&via_serde).unwrap(),
+                    "{line}"
+                );
+                // the shard's scanner takes the spliced line too
+                let rescan = wire::scan(spliced.as_bytes()).expect("spliced line scans");
+                assert_eq!(rescan.deadline_ms, Some(ms));
+                if scan.options_body.is_some() {
+                    // an appended `options` object is part of the digest;
+                    // a rewritten or inserted deadline is not
+                    assert_eq!(rescan.digest, scan.digest, "only the deadline changed");
+                }
+            }
+        }
     }
 
     #[test]

@@ -110,7 +110,7 @@ impl EtcMatrix {
             );
         }
         let means = (0..n_tasks)
-            .map(|t| data[t * n_procs..(t + 1) * n_procs].iter().sum::<f64>() / n_procs as f64)
+            .map(|t| Self::row_mean(&data[t * n_procs..(t + 1) * n_procs]))
             .collect();
         EtcMatrix {
             n_tasks,
@@ -118,6 +118,29 @@ impl EtcMatrix {
             data,
             means,
         }
+    }
+
+    /// The fold behind the cached per-task means.
+    fn row_mean(row: &[f64]) -> f64 {
+        row.iter().sum::<f64>() / row.len() as f64
+    }
+
+    /// Set the execution time of `t` on `p` to `time`, and refresh `t`'s
+    /// cached mean by the row fold a fresh build runs, so the patched
+    /// matrix is indistinguishable from one built with the new entry.
+    ///
+    /// # Panics
+    /// Panics if `t` or `p` is out of range, or `time` is not finite and
+    /// `>= 0`.
+    pub fn set_exec(&mut self, t: TaskId, p: ProcId, time: f64) {
+        assert!(
+            time.is_finite() && time >= 0.0,
+            "ETC entry must be finite and >= 0, got {time}"
+        );
+        assert!(p.index() < self.n_procs, "processor {p} out of range");
+        let row = t.index() * self.n_procs..(t.index() + 1) * self.n_procs;
+        self.data[row.start + p.index()] = time;
+        self.means[t.index()] = Self::row_mean(&self.data[row]);
     }
 
     /// Build from an explicit closure `f(task, proc) -> time`.
@@ -524,6 +547,33 @@ mod tests {
         let etc3 = EtcMatrix::from_fn(1, 3, |_, p| (p.index() + 1) as f64); // 1,2,3
         assert_eq!(etc3.median_exec(TaskId(0)), 2.0);
         let _ = dag;
+    }
+
+    #[test]
+    fn set_exec_matches_a_fresh_build() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let dag = chain(&[3.0, 7.0, 11.0]);
+        let base = EtcMatrix::generate(&dag, 5, &EtcParams::range_based(1.2), &mut rng);
+        let mut patched = base.clone();
+        patched.set_exec(TaskId(1), ProcId(3), 0.1);
+        patched.set_exec(TaskId(1), ProcId(0), 123.456);
+        let fresh = EtcMatrix::from_fn(3, 5, |t, p| match (t.index(), p.index()) {
+            (1, 3) => 0.1,
+            (1, 0) => 123.456,
+            _ => base.exec(t, p),
+        });
+        for t in dag.task_ids() {
+            assert_eq!(patched.row(t), fresh.row(t));
+            assert_eq!(patched.mean_exec(t).to_bits(), fresh.mean_exec(t).to_bits());
+        }
+        assert_eq!(patched.content_fingerprint(), fresh.content_fingerprint());
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and >= 0")]
+    fn set_exec_rejects_negative_time() {
+        let mut etc = EtcMatrix::homogeneous(&chain(&[1.0]), 2);
+        etc.set_exec(TaskId(0), ProcId(1), -1.0);
     }
 
     #[test]

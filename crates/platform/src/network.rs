@@ -250,6 +250,46 @@ impl Network {
         acc / (self.n * (self.n - 1)) as f64
     }
 
+    /// [`Network::mean_comm_time`] of every volume in `data`, written to
+    /// the matching slot of `out`, each bit-identical to the scalar call.
+    ///
+    /// Eight volumes run the scalar's exact fold in lockstep, so their
+    /// independent add chains overlap instead of each waiting on its own
+    /// previous add; the remainder takes the scalar path.
+    ///
+    /// # Panics
+    /// Panics if `data` and `out` differ in length.
+    pub fn mean_comm_times(&self, data: &[f64], out: &mut [f64]) {
+        const LANES: usize = 8;
+        assert_eq!(data.len(), out.len(), "one output slot per volume");
+        if self.n <= 1 {
+            out.fill(0.0);
+            return;
+        }
+        let pairs = (self.n * (self.n - 1)) as f64;
+        // the distinct ordered pairs' links, in the scalar fold's order
+        let links: Vec<(f64, f64)> = (0..self.n * self.n)
+            .filter(|i| i / self.n != i % self.n)
+            .map(|i| (self.startup[i], self.inv_bw[i]))
+            .collect();
+        let mut volumes = data.chunks_exact(LANES);
+        let mut slots = out.chunks_exact_mut(LANES);
+        for (vol, slot) in (&mut volumes).zip(&mut slots) {
+            let mut acc = [0.0f64; LANES];
+            for &(su, ib) in &links {
+                for (acc, &v) in acc.iter_mut().zip(vol) {
+                    *acc += su + v * ib;
+                }
+            }
+            for (s, acc) in slot.iter_mut().zip(acc) {
+                *s = acc / pairs;
+            }
+        }
+        for (s, &v) in slots.into_remainder().iter_mut().zip(volumes.remainder()) {
+            *s = self.mean_comm_time(v);
+        }
+    }
+
     /// Mean startup latency over distinct ordered pairs.
     pub fn mean_startup(&self) -> f64 {
         if self.n <= 1 {

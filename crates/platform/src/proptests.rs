@@ -119,4 +119,33 @@ proptest! {
         let mean = net.mean_comm_time(data);
         prop_assert!(mean >= lo - 1e-9 && mean <= hi + 1e-9);
     }
+
+    /// The batched kernel is the scalar one, bit for bit: on 1..=9
+    /// processors (one processor is the all-zero branch) and slices of
+    /// 0..=20 volumes, which cover zero, one and two full 8-lane chunks
+    /// plus every remainder length, with zero, subnormal, huge and
+    /// ordinary volumes mixed in.
+    #[test]
+    fn mean_comm_times_matches_the_scalar_bitwise(
+        n in 1usize..=9,
+        kinds in proptest::collection::vec((0u32..4, 0.0f64..1000.0), 0..=20),
+        seed in 0u64..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = Network::heterogeneous_random(n, (0.0, 5.0), (0.5, 10.0), &mut rng);
+        let data: Vec<f64> = kinds
+            .iter()
+            .map(|&(kind, x)| match kind {
+                0 => 0.0,
+                1 => f64::from_bits(1 + x as u64), // subnormal
+                2 => 1e300 * (1.0 + x),
+                _ => x,
+            })
+            .collect();
+        let mut out = vec![f64::NAN; data.len()];
+        net.mean_comm_times(&data, &mut out);
+        for (&d, &got) in data.iter().zip(&out) {
+            prop_assert_eq!(got.to_bits(), net.mean_comm_time(d).to_bits());
+        }
+    }
 }

@@ -566,6 +566,11 @@ pub enum Response {
     ShuttingDown,
 }
 
+/// The `error` message both tiers answer a request line with when its
+/// bytes are not valid UTF-8. Such a line is refused, not rewritten
+/// (replacing the bad bytes would answer a request the client never sent).
+pub const INVALID_UTF8: &str = "bad request: line is not valid UTF-8";
+
 impl Response {
     /// Shorthand for an error response.
     pub fn error(message: impl Into<String>) -> Self {

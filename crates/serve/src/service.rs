@@ -293,6 +293,17 @@ impl Service {
         self.slow_line(line, arrival, None)
     }
 
+    /// The reply to a request line that is not valid UTF-8: a structured
+    /// `error` ([`crate::protocol::INVALID_UTF8`]), counted like any other
+    /// bad request.
+    pub fn invalid_utf8_reply(&self) -> Arc<[u8]> {
+        ServiceMetrics::bump(&self.shared.metrics.errors);
+        Response::error(crate::protocol::INVALID_UTF8)
+            .to_line()
+            .into_bytes()
+            .into()
+    }
+
     /// Account one wire-cache hit: it is a request, a cache hit, and a
     /// success, with deadline slack measured from the scanner's raw
     /// capture. The per-algorithm histogram is deliberately skipped —

@@ -134,14 +134,12 @@ fn serve_connection(stream: TcpStream, service: &Service) {
         // Answer every complete line already buffered, even mid-shutdown:
         // drain-then-exit applies to connections too.
         while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let reply = {
-                let line = String::from_utf8_lossy(&pending[..pos]);
-                let line = line.trim();
-                if line.is_empty() {
-                    None
-                } else {
-                    Some(service.handle_line_bytes(line))
+            let reply = match std::str::from_utf8(&pending[..pos]) {
+                Ok(line) => {
+                    let line = line.trim();
+                    (!line.is_empty()).then(|| service.handle_line_bytes(line))
                 }
+                Err(_) => Some(service.invalid_utf8_reply()),
             };
             pending.drain(..=pos);
             if let Some(reply) = reply {
@@ -184,12 +182,13 @@ pub fn serve_lines(
     mut output: impl Write,
 ) -> io::Result<()> {
     let mut out: Vec<u8> = Vec::new();
-    for line in input.lines() {
+    for line in input.split(b'\n') {
         let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = service.handle_line_bytes(line.trim());
+        let reply = match std::str::from_utf8(&line) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => service.handle_line_bytes(line.trim()),
+            Err(_) => service.invalid_utf8_reply(),
+        };
         write_reply(&mut output, &mut out, &reply)?;
         if service.is_shutting_down() {
             break;
@@ -202,6 +201,7 @@ pub fn serve_lines(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::INVALID_UTF8;
     use std::io::{BufRead, BufReader, Cursor};
 
     fn small_request(weight: f64, options: &str) -> String {
@@ -312,6 +312,58 @@ mod tests {
         assert_eq!(v["status"].as_str(), Some("shutting_down"));
 
         daemon.join().unwrap().unwrap();
+    }
+
+    /// `{"op":"hello","x":"<0xFF>"}`: answered `ok` if the bad byte were
+    /// rewritten to U+FFFD.
+    const INVALID_HELLO: &[u8] = b"{\"op\":\"hello\",\"x\":\"\xff\"}";
+
+    fn status_and_message(line: &str) -> (String, String) {
+        let v: serde_json::Value = serde_json::from_str(line.trim()).unwrap();
+        (
+            v["status"].as_str().unwrap_or_default().to_string(),
+            v["message"].as_str().unwrap_or_default().to_string(),
+        )
+    }
+
+    #[test]
+    fn invalid_utf8_lines_get_a_structured_error_in_order() {
+        let mut wire = b"{\"op\":\"hello\"}\n".to_vec();
+        wire.extend_from_slice(INVALID_HELLO);
+        wire.extend_from_slice(b"\n{\"op\":\"hello\"}\n");
+
+        // TCP
+        let server = TcpServer::bind("127.0.0.1:0", test_config()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let service = server.service();
+        let daemon = std::thread::spawn(move || server.run());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        stream.write_all(&wire).unwrap();
+        let mut replies = Vec::new();
+        for _ in 0..3 {
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            replies.push(status_and_message(&reply));
+        }
+        assert_eq!(replies[0].0, "ok");
+        assert_eq!(replies[1], ("error".to_string(), INVALID_UTF8.to_string()));
+        assert_eq!(replies[2].0, "ok", "the connection keeps serving");
+        assert_eq!(ServiceMetrics::read(&service.metrics().errors), 1);
+        service.begin_shutdown();
+        daemon.join().unwrap().unwrap();
+
+        // stdin mode
+        let service = Service::start(test_config());
+        let mut out = Vec::new();
+        serve_lines(&service, Cursor::new(wire), &mut out).unwrap();
+        let replies: Vec<_> = out
+            .lines()
+            .map(|l| status_and_message(&l.unwrap()))
+            .collect();
+        assert_eq!(replies.len(), 3, "{replies:?}");
+        assert_eq!(replies[1], ("error".to_string(), INVALID_UTF8.to_string()));
+        assert_eq!(replies[2].0, "ok");
     }
 
     #[test]

@@ -34,8 +34,9 @@
 //! * a `trace_ctx` or `trace_id` key anywhere — traced requests take the
 //!   slow path by design (they journal spans and attach timing);
 //! * an `op` that is not one of the four scheduling operations, nesting
-//!   deeper than `MAX_DEPTH`, duplicate volatile keys, or a
-//!   `deadline_ms` value that is not a plain integer.
+//!   deeper than `MAX_DEPTH`, duplicate volatile keys, a top-level
+//!   `options` that is repeated or not an object, or a `deadline_ms`
+//!   value that is not a plain integer.
 //!
 //! ## Volatile-field exclusion
 //!
@@ -47,7 +48,10 @@
 //! fold over every byte outside the excluded ranges. `deadline_ms`'s
 //! *value* is additionally parsed out of the raw bytes, because the
 //! service still enforces deadlines on wire hits (the gateway sheds
-//! expired requests before answering).
+//! expired requests before answering). Its byte range and the offset
+//! inside the `options` object are reported too: the gateway forwards a
+//! scanned line as the client's own bytes with only the deadline
+//! rewritten, instead of re-serializing the parsed request.
 
 /// Maximum nesting depth the scanner will walk before giving up. Real
 /// requests nest a handful of levels; anything deeper is hostile or
@@ -100,6 +104,13 @@ pub struct WireScan {
     pub op: WireOp,
     /// The raw `options.deadline_ms` value, when present.
     pub deadline_ms: Option<u64>,
+    /// Byte range of the `options.deadline_ms` value, when present.
+    pub deadline_range: Option<(usize, usize)>,
+    /// Offset just inside the top-level `options` object's `{`, when the
+    /// line has one. Together with [`WireScan::deadline_range`] this is
+    /// what a forwarder needs to rewrite the deadline in the client's own
+    /// bytes.
+    pub options_body: Option<usize>,
 }
 
 /// Scanner state threaded through the recursive descent.
@@ -110,6 +121,8 @@ struct Scanner<'a> {
     excluded: Vec<(usize, usize)>,
     op: Option<WireOp>,
     deadline_ms: Option<u64>,
+    deadline_range: Option<(usize, usize)>,
+    options_body: Option<usize>,
 }
 
 /// Scan one trimmed request line. Returns `None` whenever the line is
@@ -125,6 +138,8 @@ pub fn scan(line: &[u8]) -> Option<WireScan> {
         excluded: Vec::new(),
         op: None,
         deadline_ms: None,
+        deadline_range: None,
+        options_body: None,
     };
     s.value(0, false)?;
     if s.pos != line.len() {
@@ -136,6 +151,8 @@ pub fn scan(line: &[u8]) -> Option<WireScan> {
         digest,
         op,
         deadline_ms: s.deadline_ms,
+        deadline_range: s.deadline_range,
+        options_body: s.options_body,
     })
 }
 
@@ -303,6 +320,7 @@ impl Scanner<'_> {
                         v = v.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
                     }
                     self.deadline_ms = Some(v);
+                    self.deadline_range = Some((vlo, vhi));
                 } else {
                     self.value(depth + 1, false)?;
                 }
@@ -313,6 +331,15 @@ impl Scanner<'_> {
                 let (vlo, vhi) = self.string()?;
                 self.op = Some(WireOp::from_bytes(&self.bytes[vlo..vhi])?);
             } else {
+                if entering_options {
+                    // One `options` object: a forwarder splices the
+                    // deadline into it, which a second `options` or a
+                    // non-object value would make ambiguous.
+                    if self.options_body.is_some() || self.peek()? != b'{' {
+                        return None;
+                    }
+                    self.options_body = Some(self.pos + 1);
+                }
                 self.value(depth + 1, entering_options)?;
             }
             let member_end = self.pos;
@@ -458,6 +485,29 @@ mod tests {
         }
         line.push('}');
         assert!(scan(line.as_bytes()).is_none());
+    }
+
+    #[test]
+    fn deadline_and_options_positions_are_reported() {
+        let line = r#"{"op":"schedule","dag":{"w":[1.0]},"options":{"jobs":2,"deadline_ms":250}}"#;
+        let s = ok(line);
+        let (lo, hi) = s.deadline_range.expect("deadline present");
+        assert_eq!(&line[lo..hi], "250");
+        let body = s.options_body.expect("options present");
+        assert_eq!(&line[body - 1..body + 6], r#"{"jobs""#);
+        let empty = r#"{"op":"patch","options":{}}"#;
+        let s = ok(empty);
+        assert_eq!(s.deadline_range, None);
+        assert_eq!(&empty[s.options_body.unwrap()..], "}}");
+        let absent = ok(r#"{"op":"patch","x":{"options":1}}"#);
+        assert_eq!((absent.deadline_range, absent.options_body), (None, None));
+    }
+
+    #[test]
+    fn ambiguous_options_fall_back() {
+        assert!(scan(br#"{"op":"schedule","options":null}"#).is_none());
+        assert!(scan(br#"{"op":"schedule","options":[]}"#).is_none());
+        assert!(scan(br#"{"op":"schedule","options":{},"options":{}}"#).is_none());
     }
 
     #[test]

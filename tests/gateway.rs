@@ -448,3 +448,29 @@ fn resent_parent_reseeds_the_shard_after_unknown_parent() {
 
     topo.shutdown();
 }
+
+/// A line whose bytes are not valid UTF-8 gets a structured `error` in
+/// request order; rewriting the bad byte to U+FFFD would have answered
+/// this `hello` with `ok`.
+#[test]
+fn invalid_utf8_line_gets_a_structured_error_in_order() {
+    let topo = spawn_topology(1);
+    let mut c = Client::connect(topo.addr);
+    c.writer
+        .write_all(b"{\"op\":\"hello\"}\n{\"op\":\"hello\",\"x\":\"\xff\"}\n{\"op\":\"hello\"}\n")
+        .unwrap();
+    let mut replies = Vec::new();
+    for _ in 0..3 {
+        let mut reply = String::new();
+        c.reader.read_line(&mut reply).unwrap();
+        replies.push(serde_json::from_str::<serde_json::Value>(reply.trim()).unwrap());
+    }
+    assert_eq!(replies[0]["status"].as_str(), Some("ok"), "{replies:?}");
+    assert_eq!(replies[1]["status"].as_str(), Some("error"), "{replies:?}");
+    assert_eq!(
+        replies[1]["message"].as_str(),
+        Some(hetsched_serve::protocol::INVALID_UTF8)
+    );
+    assert_eq!(replies[2]["status"].as_str(), Some("ok"), "{replies:?}");
+    topo.shutdown();
+}

@@ -3,18 +3,20 @@
 //! `hetsched-serve` daemon, gateway-side inflight accounting, and health
 //! state with timed re-probing.
 
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use hetsched_serve::transport::{write_line, Line, LineCodec, WRITE_STALL};
+
 use crate::metrics::ShardSnapshot;
 
-/// Per-read timeout while waiting for a reply; bounds how stale the
-/// deadline check can get, not the total wait.
-const READ_SLICE: Duration = Duration::from_millis(200);
+/// Per-call read and write timeout: bounds how stale the deadline (or
+/// write stall) check can get, not the total wait.
+const IO_SLICE: Duration = Duration::from_millis(200);
 
 /// A backend shard: address, pooled connections, inflight budget state,
 /// and health.
@@ -165,12 +167,13 @@ impl Backend {
     }
 }
 
-/// One persistent NDJSON connection to a shard. Keeps its own read
-/// buffer so bytes over-read past a reply line are never lost between
-/// round trips.
+/// One persistent NDJSON connection to a shard. Its codec keeps bytes
+/// over-read past a reply line between round trips, and has no line cap
+/// (see [`MAX_LINE_BYTES`](hetsched_serve::transport::MAX_LINE_BYTES)).
 struct Conn {
     stream: TcpStream,
-    buf: Vec<u8>,
+    codec: LineCodec,
+    scratch: Vec<u8>,
 }
 
 impl Conn {
@@ -181,9 +184,11 @@ impl Conn {
             .ok_or_else(|| io::Error::new(ErrorKind::InvalidInput, format!("bad addr {addr}")))?;
         let stream = TcpStream::connect_timeout(&sock_addr, timeout)?;
         stream.set_nodelay(true)?;
+        stream.set_write_timeout(Some(IO_SLICE))?;
         Ok(Conn {
             stream,
-            buf: Vec::new(),
+            codec: LineCodec::new(usize::MAX),
+            scratch: Vec::new(),
         })
     }
 
@@ -207,17 +212,25 @@ impl Conn {
     }
 
     /// Write `line` and read exactly one reply line, or fail with
-    /// `ErrorKind::TimedOut` once `deadline_at` passes.
+    /// `ErrorKind::TimedOut` once `deadline_at` passes. A reply that is
+    /// not valid UTF-8 fails with `InvalidData`: it is never forwarded.
     fn round_trip(&mut self, line: &str, deadline_at: Instant) -> io::Result<String> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()?;
-        let mut chunk = [0u8; 16 * 1024];
+        write_line(
+            &mut self.stream,
+            &mut self.scratch,
+            line.as_bytes(),
+            WRITE_STALL,
+        )?;
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line_bytes: Vec<u8> = self.buf.drain(..=pos).collect();
-                let reply = String::from_utf8_lossy(&line_bytes).trim().to_string();
-                return Ok(reply);
+            match self.codec.next_line() {
+                Some(Line::Text(reply)) => return Ok(reply.to_string()),
+                Some(bad) => {
+                    return Err(io::Error::new(
+                        ErrorKind::InvalidData,
+                        format!("unreadable shard reply ({bad:?})"),
+                    ))
+                }
+                None => {}
             }
             let remaining = deadline_at.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
@@ -227,15 +240,15 @@ impl Conn {
                 ));
             }
             self.stream
-                .set_read_timeout(Some(remaining.min(READ_SLICE)))?;
-            match self.stream.read(&mut chunk) {
+                .set_read_timeout(Some(remaining.min(IO_SLICE)))?;
+            match self.stream.read(self.codec.spare()) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         ErrorKind::UnexpectedEof,
                         "shard closed the connection",
                     ))
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.codec.filled(n),
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -247,6 +260,7 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     #[test]
     fn inflight_budget_reserve_and_release() {

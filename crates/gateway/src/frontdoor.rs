@@ -14,15 +14,19 @@
 //!   answered immediately — so a shed for request 5 is never written
 //!   before the reply for request 4.
 //! - **Backlog is bounded everywhere.** Lines beyond
-//!   [`max_pending_per_conn`](crate::GatewayConfig::max_pending_per_conn)
-//!   become shed markers at read time; when the bounded dispatch queue is
-//!   full the line simply stays queued, where the router's deadline check
-//!   will shed it if it waits too long. No queue grows without limit, and
-//!   a request past its deadline never occupies a shard slot.
+//!   [`max_pending_per_conn`](crate::GatewayConfig::max_pending_per_conn),
+//!   valid UTF-8 or not, become shed markers at read time, consecutive
+//!   ones counted in a
+//!   single entry; when the bounded dispatch queue is full the line simply
+//!   stays queued, where the router's deadline check will shed it if it
+//!   waits too long. No queue grows without limit, and a request past its
+//!   deadline never occupies a shard slot. Lines are framed by the shared
+//!   [`LineCodec`], whose line cap bounds each read buffer, and every reply
+//!   write gives up after [`WRITE_STALL`] without progress.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, ErrorKind, Read};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -30,7 +34,10 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 
-use hetsched_serve::protocol::{Response, INVALID_UTF8};
+use hetsched_serve::protocol::{Response, INVALID_UTF8, LINE_TOO_LONG};
+use hetsched_serve::transport::{
+    discard_input, write_line, Line, LineCodec, MAX_LINE_BYTES, OVERLONG_LINGER, WRITE_STALL,
+};
 
 use crate::router::Router;
 use crate::GatewayConfig;
@@ -41,14 +48,6 @@ const BACKOFF_FLOOR: Duration = Duration::from_millis(1);
 /// Longest reactor idle sleep, reached after sustained quiet. Bounds the
 /// wake-up latency for the first request of a new burst.
 const BACKOFF_CEILING: Duration = Duration::from_millis(16);
-/// Sleep while a blocked reply write waits for the kernel buffer to
-/// drain (the peer controls the pace here, not the reactor).
-const WRITE_RETRY: Duration = Duration::from_millis(2);
-/// Per-connection read chunk.
-const CHUNK: usize = 16 * 1024;
-/// Cap on a single buffered line; a peer streaming an unbounded line
-/// would otherwise grow the read buffer without limit.
-const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 
 /// Adaptive reactor idle backoff: sleeps start at [`BACKOFF_FLOOR`]
 /// right after activity and double toward [`BACKOFF_CEILING`] while the
@@ -96,30 +95,36 @@ struct Done {
     write_ok: bool,
 }
 
-/// A queued request line, or a shed decision taken at read time that
-/// must still be answered in arrival order.
+/// A queued request line, or a decision taken at read time that must
+/// still be answered in arrival order.
+#[derive(Debug)]
 enum PendingLine {
     /// A complete request line and the instant it was read.
     Job(String, Instant),
-    /// The connection's pending queue was over depth when this line
-    /// arrived: answer `shed` (in order) without routing.
-    Shed,
-    /// The line's bytes are not valid UTF-8: answer
-    /// [`INVALID_UTF8`](hetsched_serve::protocol::INVALID_UTF8) (in order)
-    /// without routing.
-    InvalidUtf8,
+    /// This many consecutive lines arrived while the connection's pending
+    /// queue was over depth: answer each `shed` (in order) without routing.
+    Shed(usize),
+    /// A line that cannot be a request, not valid UTF-8 or over the line
+    /// cap: answer this `error` message (in order) without routing.
+    Refused(&'static str),
 }
 
 /// Per-connection reactor state.
 struct ClientConn {
     stream: TcpStream,
     writer: Arc<Mutex<TcpStream>>,
-    buf: Vec<u8>,
+    codec: LineCodec,
     pending: VecDeque<PendingLine>,
+    /// Lines in `pending`, each shed run counted by its length.
+    queued: usize,
     /// A job from this connection is currently with a worker.
     busy: bool,
-    /// Peer closed its write side; serve out `pending`, then drop.
+    /// No more lines will be read (the peer closed its write side, or
+    /// sent an over-long line); serve out `pending`, then drop.
     eof: bool,
+    /// The last line read was over-long: once `pending` is served, the
+    /// rest of it is read off (see [`OVERLONG_LINGER`]) before the close.
+    over_long: bool,
     /// Unrecoverable I/O error; drop as soon as no job is in flight.
     dead: bool,
 }
@@ -157,6 +162,10 @@ impl GatewayServer {
     /// [`Router::begin_shutdown`] is called), then drain: every queued
     /// and in-flight request is answered before the loop returns.
     pub fn run(self) -> io::Result<()> {
+        self.run_with(WRITE_STALL)
+    }
+
+    fn run_with(self, write_stall: Duration) -> io::Result<()> {
         let config = self.router.config().clone();
         let (jobs_tx, jobs_rx) = bounded::<DispatchJob>(config.queue_capacity.max(1));
         let (done_tx, done_rx) = unbounded::<Done>();
@@ -165,6 +174,7 @@ impl GatewayServer {
             self.router.clone(),
             jobs_rx,
             done_tx,
+            write_stall,
         );
 
         let mut conns: HashMap<u64, ClientConn> = HashMap::new();
@@ -172,6 +182,9 @@ impl GatewayServer {
         let mut backoff = Backoff::new();
         // Reactor-side write scratch, reused across every shed marker.
         let mut scratch: Vec<u8> = Vec::new();
+        // Sockets cut off by an over-long line, write side shut, whose
+        // input is read off until the peer closes or the instant passes.
+        let mut lingering: Vec<(TcpStream, Instant)> = Vec::new();
         loop {
             let mut progressed = false;
 
@@ -220,18 +233,18 @@ impl GatewayServer {
                 if conn.busy || conn.dead {
                     continue;
                 }
-                while let Some(front) = conn.pending.pop_front() {
+                while let Some(front) = conn.pop_line() {
                     let reply = match front {
-                        PendingLine::Shed => {
+                        PendingLine::Shed(_) => {
                             crate::metrics::bump(&self.router.metrics().sheds);
                             Response::shed(format!(
                                 "connection backlog over {} pending requests",
                                 config.max_pending_per_conn
                             ))
                         }
-                        PendingLine::InvalidUtf8 => {
+                        PendingLine::Refused(message) => {
                             crate::metrics::bump(&self.router.metrics().errors);
-                            Response::error(INVALID_UTF8)
+                            Response::error(message)
                         }
                         PendingLine::Job(line, arrival) => {
                             let job = DispatchJob {
@@ -251,6 +264,7 @@ impl GatewayServer {
                                     // its deadline expires while waiting.
                                     conn.pending
                                         .push_front(PendingLine::Job(job.line, job.arrival));
+                                    conn.queued += 1;
                                 }
                                 Err(TrySendError::Disconnected(_)) => conn.dead = true,
                             }
@@ -259,7 +273,14 @@ impl GatewayServer {
                     };
                     // Ordered: every earlier reply has been written (busy
                     // was false).
-                    if write_line(&conn.writer, &mut scratch, &reply.to_line()).is_err() {
+                    let line = reply.to_line();
+                    let written = write_line(
+                        &mut *conn.writer.lock(),
+                        &mut scratch,
+                        line.as_bytes(),
+                        write_stall,
+                    );
+                    if written.is_err() {
                         conn.dead = true;
                         break;
                     }
@@ -268,7 +289,17 @@ impl GatewayServer {
             }
 
             // Retire finished connections.
-            conns.retain(|_, c| !(c.dead || (c.eof && !c.busy && c.pending.is_empty())));
+            conns.retain(|_, c| {
+                let finished = c.dead || (c.eof && !c.busy && c.pending.is_empty());
+                if finished && c.over_long && !c.dead {
+                    let _ = c.stream.shutdown(Shutdown::Write);
+                    if let Ok(stream) = c.stream.try_clone() {
+                        lingering.push((stream, Instant::now() + OVERLONG_LINGER));
+                    }
+                }
+                !finished
+            });
+            lingering.retain(|(stream, until)| discard_input(stream, *until));
 
             // Shutdown drain: exit once nothing is queued or in flight.
             if self.router.is_shutting_down()
@@ -299,69 +330,73 @@ impl ClientConn {
         Ok(ClientConn {
             stream,
             writer,
-            buf: Vec::new(),
+            codec: LineCodec::new(MAX_LINE_BYTES),
             pending: VecDeque::new(),
+            queued: 0,
             busy: false,
             eof: false,
+            over_long: false,
             dead: false,
         })
     }
 
-    /// Pull whatever bytes are ready and split them into pending lines,
-    /// shedding (as ordered markers) past the depth bound. Returns
-    /// whether anything happened.
+    /// Pull whatever bytes are ready and frame them into pending lines,
+    /// shedding (as ordered markers) every line past the depth bound.
+    /// Returns whether anything happened.
     fn read_some(&mut self, max_pending: usize) -> bool {
-        if self.eof || self.dead {
-            return false;
-        }
-        let mut chunk = [0u8; CHUNK];
         let mut progressed = false;
-        loop {
-            match self.stream.read(&mut chunk) {
+        while !(self.eof || self.dead) {
+            match self.stream.read(self.codec.spare()) {
                 Ok(0) => {
                     self.eof = true;
-                    progressed = true;
+                    self.codec.finish();
+                }
+                Ok(n) => self.codec.filled(n),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => self.dead = true,
+            }
+            progressed = true;
+            let arrival = Instant::now();
+            while let Some(line) = self.codec.next_line() {
+                // Only a queued job owns a String (it must outlive the
+                // buffer); blank lines and markers cost no allocation.
+                let line = match line {
+                    Line::OverLong => {
+                        // the stream cannot be framed past it
+                        self.eof = true;
+                        self.over_long = true;
+                        PendingLine::Refused(LINE_TOO_LONG)
+                    }
+                    _ if self.queued >= max_pending => PendingLine::Shed(1),
+                    Line::Text(text) => PendingLine::Job(text.to_string(), arrival),
+                    Line::InvalidUtf8 => PendingLine::Refused(INVALID_UTF8),
+                };
+                self.queued += 1;
+                match (self.pending.back_mut(), line) {
+                    (Some(PendingLine::Shed(run)), PendingLine::Shed(1)) => *run += 1,
+                    (_, line) => self.pending.push_back(line),
+                }
+                if self.over_long {
                     break;
                 }
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    return true;
-                }
             }
-        }
-        let arrival = Instant::now();
-        while let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-            // Slice the line in place; only a queued job owns a String
-            // (it must outlive the buffer), so blank lines and shed
-            // markers cost no allocation at all.
-            match std::str::from_utf8(&self.buf[..pos]).map(str::trim) {
-                Ok("") => {}
-                Ok(line) => {
-                    if self.pending.len() >= max_pending {
-                        self.pending.push_back(PendingLine::Shed);
-                    } else {
-                        self.pending
-                            .push_back(PendingLine::Job(line.to_string(), arrival));
-                    }
-                    progressed = true;
-                }
-                Err(_) => {
-                    self.pending.push_back(PendingLine::InvalidUtf8);
-                    progressed = true;
-                }
-            }
-            self.buf.drain(..=pos);
-        }
-        if self.buf.len() > MAX_LINE_BYTES {
-            self.dead = true;
         }
         progressed
+    }
+
+    /// Take the front line off the queue; a shed run gives up one `Shed`
+    /// per line.
+    fn pop_line(&mut self) -> Option<PendingLine> {
+        let line = match self.pending.front_mut()? {
+            PendingLine::Shed(run) if *run > 1 => {
+                *run -= 1;
+                PendingLine::Shed(1)
+            }
+            _ => self.pending.pop_front()?,
+        };
+        self.queued -= 1;
+        Some(line)
     }
 }
 
@@ -373,6 +408,7 @@ fn spawn_workers(
     router: Arc<Router>,
     jobs_rx: Receiver<DispatchJob>,
     done_tx: Sender<Done>,
+    write_stall: Duration,
 ) -> Vec<JoinHandle<()>> {
     (0..count)
         .map(|i| {
@@ -386,7 +422,13 @@ fn spawn_workers(
                     let mut scratch: Vec<u8> = Vec::new();
                     while let Ok(job) = jobs_rx.recv() {
                         let reply = router.handle_line(&job.line, job.arrival);
-                        let write_ok = write_line(&job.writer, &mut scratch, &reply).is_ok();
+                        let write_ok = write_line(
+                            &mut *job.writer.lock(),
+                            &mut scratch,
+                            reply.as_bytes(),
+                            write_stall,
+                        )
+                        .is_ok();
                         let _ = done_tx.send(Done {
                             conn_id: job.conn_id,
                             write_ok,
@@ -398,31 +440,10 @@ fn spawn_workers(
         .collect()
 }
 
-/// Write one reply line to a (non-blocking) client socket, retrying
-/// `WouldBlock` until the kernel buffer drains. `scratch` is the
-/// caller's reusable buffer for the `reply + '\n'` payload — no
-/// per-write allocation at steady state.
-fn write_line(writer: &Arc<Mutex<TcpStream>>, scratch: &mut Vec<u8>, line: &str) -> io::Result<()> {
-    scratch.clear();
-    scratch.extend_from_slice(line.as_bytes());
-    scratch.push(b'\n');
-    let mut stream = writer.lock();
-    let mut written = 0;
-    while written < scratch.len() {
-        match stream.write(&scratch[written..]) {
-            Ok(0) => return Err(io::Error::new(ErrorKind::WriteZero, "peer stalled")),
-            Ok(n) => written += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(WRITE_RETRY),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader, Write};
 
     #[test]
     fn backoff_doubles_while_idle_and_resets_on_progress() {
@@ -446,5 +467,78 @@ mod tests {
         b.reset();
         assert_eq!(b.idle(), BACKOFF_FLOOR);
         assert_eq!(b.idle(), BACKOFF_FLOOR * 2);
+    }
+
+    #[test]
+    fn shed_runs_keep_the_queue_constant_past_the_depth() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = ClientConn::new(listener.accept().unwrap().0).unwrap();
+        let (depth, lines) = (4, 1000);
+        // Valid and invalid UTF-8 lines alternate: below the depth the
+        // invalid ones are refused in order; past it every line is shed.
+        client
+            .write_all(&b"{\"op\":\"hello\"}\n\xff\n".repeat(lines / 2))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while conn.queued < lines {
+            assert!(Instant::now() < deadline, "{} lines read", conn.queued);
+            conn.read_some(depth);
+        }
+        assert_eq!(conn.pending.len(), depth + 1, "one entry past the depth");
+        // Every line still gets its own reply, in order.
+        let mut replies = Vec::new();
+        while let Some(line) = conn.pop_line() {
+            replies.push(match line {
+                PendingLine::Job(..) => "job",
+                PendingLine::Refused(INVALID_UTF8) => "refused",
+                PendingLine::Shed(1) => "shed",
+                other => panic!("unexpected {other:?}"),
+            });
+        }
+        assert_eq!(replies.len(), lines);
+        assert_eq!(replies[..depth], ["job", "refused", "job", "refused"]);
+        assert!(replies[depth..].iter().all(|&r| r == "shed"));
+        assert_eq!(conn.queued, 0);
+    }
+
+    #[test]
+    fn a_client_that_never_reads_cannot_hold_up_shutdown() {
+        // The one backend is never contacted: the gateway answers `hello`
+        // and `metrics` itself. No line is shed, so router workers write
+        // every reply.
+        let config = GatewayConfig {
+            backends: vec!["127.0.0.1:1".to_string()],
+            max_pending_per_conn: usize::MAX,
+            ..GatewayConfig::default()
+        };
+        let server = GatewayServer::bind("127.0.0.1:0", config).unwrap();
+        let (addr, router) = (server.local_addr().unwrap(), server.router());
+        let stall = Duration::from_millis(300);
+        let gateway = thread::spawn(move || server.run_with(stall));
+        let mut probe = BufReader::new(TcpStream::connect(addr).unwrap());
+        let mut roundtrip = |line: &[u8]| {
+            probe.get_mut().write_all(line).unwrap();
+            let mut reply = String::new();
+            probe.read_line(&mut reply).unwrap()
+        };
+        // Replies worth 12 MB, far more than both socket buffers hold.
+        let metrics = b"{\"op\":\"metrics\"}\n";
+        let lines = (12 << 20) / roundtrip(metrics);
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.write_all(&metrics.repeat(lines)).unwrap();
+        // The reactor reads every connection in each turn, so once two
+        // later probes are answered it has read the whole flood: the
+        // drain owes every one of its replies.
+        roundtrip(b"{\"op\":\"hello\"}\n");
+        roundtrip(b"{\"op\":\"hello\"}\n");
+        router.begin_shutdown();
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || tx.send(gateway.join().unwrap()));
+        let ran = rx
+            .recv_timeout(stall + Duration::from_secs(5))
+            .expect("run() returns once the stalled write gives up");
+        ran.unwrap();
+        drop(client);
     }
 }

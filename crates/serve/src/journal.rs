@@ -20,6 +20,7 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
+use hetsched_trace::chrome::{ChromeTrace, Complete};
 use serde::Serialize;
 
 use crate::protocol::SpanRecord;
@@ -83,46 +84,10 @@ impl Journal {
 }
 
 #[derive(Serialize)]
-struct NameArgs {
-    name: String,
-}
-
-#[derive(Serialize)]
-struct MetaEvent {
-    name: String,
-    ph: String,
-    pid: u32,
-    tid: u32,
-    args: NameArgs,
-}
-
-#[derive(Serialize)]
 struct SpanArgs {
     trace_id: String,
     #[serde(skip_serializing_if = "String::is_empty")]
     detail: String,
-}
-
-#[derive(Serialize)]
-struct SpanEvent {
-    name: String,
-    cat: String,
-    ph: String,
-    pid: u32,
-    tid: u32,
-    ts: f64,
-    dur: f64,
-    args: SpanArgs,
-}
-
-fn meta(name: &str, pid: u32, tid: u32, value: String) -> MetaEvent {
-    MetaEvent {
-        name: name.to_string(),
-        ph: "M".to_string(),
-        pid,
-        tid,
-        args: NameArgs { name: value },
-    }
 }
 
 /// Which lane a shard-side span renders on: service bookkeeping (tid 0)
@@ -146,10 +111,6 @@ fn shard_tid(name: &str) -> u32 {
 /// strictly inside the gateway `backend` span whose detail names the
 /// shard.
 pub fn merge_chrome_trace(gateway: &[SpanRecord], shards: &[(String, Vec<SpanRecord>)]) -> String {
-    fn json<T: Serialize>(v: &T) -> String {
-        serde_json::to_string(v).expect("span events serialize infallibly")
-    }
-
     // Trace ids in first-recorded order: gateway first, then shard-only.
     let mut order: Vec<&str> = Vec::new();
     let mut seen = std::collections::HashSet::new();
@@ -166,23 +127,22 @@ pub fn merge_chrome_trace(gateway: &[SpanRecord], shards: &[(String, Vec<SpanRec
         }
     }
 
-    let mut events: Vec<String> = Vec::new();
-    events.push(json(&meta("process_name", 0, 0, "gateway".to_string())));
-    events.push(json(&meta("thread_name", 0, 0, "requests".to_string())));
+    let mut doc = ChromeTrace::default();
+    doc.meta("process_name", 0, 0, "gateway".to_string());
+    doc.meta("thread_name", 0, 0, "requests".to_string());
     for (i, (label, _)) in shards.iter().enumerate() {
         let pid = 1 + i as u32;
-        events.push(json(&meta(
-            "process_name",
-            pid,
-            0,
-            format!("shard {label}"),
-        )));
-        events.push(json(&meta("thread_name", pid, 0, "service".to_string())));
-        events.push(json(&meta("thread_name", pid, 1, "worker".to_string())));
+        doc.meta("process_name", pid, 0, format!("shard {label}"));
+        doc.meta("thread_name", pid, 0, "service".to_string());
+        doc.meta("thread_name", pid, 1, "worker".to_string());
     }
+    let args = |trace_id: &str, s: &SpanRecord| SpanArgs {
+        trace_id: trace_id.to_string(),
+        detail: s.detail.clone(),
+    };
 
     const TRACE_GAP_US: u64 = 1_000;
-    let mut spans: Vec<SpanEvent> = Vec::new();
+    let mut spans: Vec<Complete> = Vec::new();
     let mut cursor: u64 = 0;
     for trace_id in order {
         let gw: Vec<&SpanRecord> = gateway.iter().filter(|s| s.trace_id == trace_id).collect();
@@ -191,19 +151,9 @@ pub fn merge_chrome_trace(gateway: &[SpanRecord], shards: &[(String, Vec<SpanRec
         for s in &gw {
             let ts = base + s.start_us;
             trace_end = trace_end.max(ts + s.dur_us);
-            spans.push(SpanEvent {
-                name: s.name.clone(),
-                cat: "gateway".to_string(),
-                ph: "X".to_string(),
-                pid: 0,
-                tid: 0,
-                ts: ts as f64,
-                dur: (s.dur_us.max(1)) as f64,
-                args: SpanArgs {
-                    trace_id: trace_id.to_string(),
-                    detail: s.detail.clone(),
-                },
-            });
+            let times = (ts as f64, s.dur_us.max(1) as f64);
+            let span = Complete::new(s.name.clone(), "gateway", (0, 0), times);
+            spans.push(span.with_args(args(trace_id, s)));
         }
         for (i, (label, shard_spans)) in shards.iter().enumerate() {
             let mine: Vec<&SpanRecord> = shard_spans
@@ -253,27 +203,19 @@ pub fn merge_chrome_trace(gateway: &[SpanRecord], shards: &[(String, Vec<SpanRec
                 let ts = shard_base + (s.start_us as f64 * scale) as u64;
                 let dur = ((s.dur_us as f64 * scale) as u64).max(1);
                 trace_end = trace_end.max(ts + dur);
-                spans.push(SpanEvent {
-                    name: s.name.clone(),
-                    cat: "shard".to_string(),
-                    ph: "X".to_string(),
-                    pid: 1 + i as u32,
-                    tid: shard_tid(&s.name),
-                    ts: ts as f64,
-                    dur: dur as f64,
-                    args: SpanArgs {
-                        trace_id: trace_id.to_string(),
-                        detail: s.detail.clone(),
-                    },
-                });
+                let lane = (1 + i as u32, shard_tid(&s.name));
+                let span = Complete::new(s.name.clone(), "shard", lane, (ts as f64, dur as f64));
+                spans.push(span.with_args(args(trace_id, s)));
             }
         }
         cursor = trace_end + TRACE_GAP_US;
     }
 
     spans.sort_by(|a, b| a.ts.total_cmp(&b.ts).then(b.dur.total_cmp(&a.dur)));
-    events.extend(spans.iter().map(json));
-    format!("{{\"traceEvents\":[{}]}}", events.join(","))
+    for span in &spans {
+        doc.push(span);
+    }
+    doc.finish()
 }
 
 #[cfg(test)]

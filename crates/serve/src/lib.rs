@@ -15,8 +15,8 @@
 //!
 //! | module        | layer     | contents |
 //! |---------------|-----------|----------|
-//! | [`protocol`]  | shared    | request/response types, NDJSON framing |
-//! | [`transport`] | transport | TCP accept loop, connection reaper, stdin runner |
+//! | [`protocol`]  | shared    | request/response types |
+//! | [`transport`] | shared    | the NDJSON line codec and reply writer of both tiers; TCP accept loop with its connection cap, connection reaper, stdin runner |
 //! | [`service`]   | routing   | validation, bounded queue admission, deadlines, memoization |
 //! | `worker`      | worker    | the pool threads: scheduling, panic isolation |
 //! | [`wire`]      | transport | raw-byte request scanner for the hot-line reply cache |

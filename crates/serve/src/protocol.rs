@@ -571,6 +571,11 @@ pub enum Response {
 /// (replacing the bad bytes would answer a request the client never sent).
 pub const INVALID_UTF8: &str = "bad request: line is not valid UTF-8";
 
+/// The `error` message both tiers answer with when more than
+/// [`MAX_LINE_BYTES`](crate::transport::MAX_LINE_BYTES) bytes arrive
+/// without a newline; the connection then ends.
+pub const LINE_TOO_LONG: &str = "bad request: line longer than 8388608 bytes";
+
 impl Response {
     /// Shorthand for an error response.
     pub fn error(message: impl Into<String>) -> Self {

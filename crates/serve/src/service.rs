@@ -22,6 +22,7 @@
 //! lets workers finish every queued job (replies included), then joins
 //! them.
 
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -146,6 +147,10 @@ pub struct Service {
     shared: Arc<Shared>,
     tx: Mutex<Option<Sender<Job>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
+    /// The address of the listener whose blocked `accept`
+    /// [`Service::begin_shutdown`] wakes; unset for stdin and in-process
+    /// services.
+    pub(crate) wake_addr: OnceLock<SocketAddr>,
 }
 
 /// Content fingerprint of a scheduling request: DAG structure and weights,
@@ -206,6 +211,7 @@ impl Service {
             shared,
             tx: Mutex::new(Some(tx)),
             workers: Mutex::new(workers),
+            wake_addr: OnceLock::new(),
         }
     }
 
@@ -221,9 +227,13 @@ impl Service {
 
     /// Request graceful shutdown without blocking: new `schedule` requests
     /// are refused, in-flight ones keep running until [`Service::shutdown`]
-    /// drains them.
+    /// drains them. The first call also wakes a TCP accept loop with one
+    /// loopback connect.
     pub fn begin_shutdown(&self) {
-        self.shared.shutting.store(true, Ordering::SeqCst);
+        let first = !self.shared.shutting.swap(true, Ordering::SeqCst);
+        if let Some(addr) = self.wake_addr.get().filter(|_| first) {
+            let _ = TcpStream::connect_timeout(addr, Duration::from_secs(1));
+        }
     }
 
     /// Drain and stop: close the queue, let workers answer every queued
@@ -293,15 +303,13 @@ impl Service {
         self.slow_line(line, arrival, None)
     }
 
-    /// The reply to a request line that is not valid UTF-8: a structured
-    /// `error` ([`crate::protocol::INVALID_UTF8`]), counted like any other
-    /// bad request.
-    pub fn invalid_utf8_reply(&self) -> Arc<[u8]> {
+    /// The reply to a line that cannot be read as a request (see
+    /// [`crate::protocol::INVALID_UTF8`] and
+    /// [`crate::protocol::LINE_TOO_LONG`]): a structured `error` carrying
+    /// `message`, counted like any other bad request.
+    pub fn error_reply(&self, message: &str) -> Arc<[u8]> {
         ServiceMetrics::bump(&self.shared.metrics.errors);
-        Response::error(crate::protocol::INVALID_UTF8)
-            .to_line()
-            .into_bytes()
-            .into()
+        Response::error(message).to_line().into_bytes().into()
     }
 
     /// Account one wire-cache hit: it is a request, a cache hit, and a

@@ -1,27 +1,51 @@
-//! Transport layer: the TCP accept loop and the stdin runner.
+//! Transport layer: the TCP accept loop, the stdin runner, and the NDJSON
+//! codec every socket and pipe of both tiers frames its lines with.
 //!
 //! Both transports speak the same NDJSON protocol and share one
-//! [`Service`]. The TCP listener runs non-blocking and polls the shutdown
-//! flag between accepts; each connection gets its own thread with a short
-//! read timeout so it also notices shutdown promptly. A `shutdown` request
-//! from any client therefore winds the whole daemon down: accept loop
-//! exits, connection threads finish their buffered lines and join, and the
-//! worker pool drains.
+//! [`Service`]. The TCP listener blocks in `accept`, and
+//! [`Service::begin_shutdown`] wakes it with one loopback connect. Each
+//! connection gets its own thread, up to a cap, with short socket
+//! timeouts so it notices shutdown and stalled writes promptly. A
+//! `shutdown` request from any client therefore winds the whole daemon
+//! down: accept loop exits, connection threads finish their buffered
+//! lines and join, and the worker pool drains.
 
-use std::io::{self, BufRead, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+mod codec;
+
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+pub use codec::{
+    discard_input, write_line, Line, LineCodec, MAX_LINE_BYTES, OVERLONG_LINGER, WRITE_STALL,
+};
 
 use crate::metrics::ServiceMetrics;
+use crate::protocol::{Response, INVALID_UTF8, LINE_TOO_LONG};
 use crate::service::{ServeConfig, Service};
 
-/// How often idle loops poll the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
-/// Read timeout on connection sockets; bounds shutdown latency per
-/// connection.
-const READ_TIMEOUT: Duration = Duration::from_millis(200);
+/// Read and write timeout of connection sockets: a blocked call returns
+/// this often, so its thread re-checks shutdown or the write stall.
+const IO_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// Bounds of the accept loop.
+#[derive(Debug, Clone, Copy)]
+struct Limits {
+    /// Connections served at once; one more is answered `busy` and closed.
+    connections: usize,
+    /// See [`WRITE_STALL`].
+    write_stall: Duration,
+}
+
+/// The limits [`TcpServer::run`] serves under. 256 connections is far
+/// above what this repository's clients open: the gateway pools at most
+/// `router_threads` (8 by default) per shard, and `load` opens 4.
+const LIMITS: Limits = Limits {
+    connections: 256,
+    write_stall: WRITE_STALL,
+};
 
 /// A TCP daemon bound to an address, ready to [`run`](TcpServer::run).
 pub struct TcpServer {
@@ -34,10 +58,19 @@ impl TcpServer {
     /// the worker pool.
     pub fn bind(addr: &str, config: ServeConfig) -> io::Result<TcpServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        let service = Service::start(config);
+        let _ = service.wake_addr.set(wake);
         Ok(TcpServer {
             listener,
-            service: Arc::new(Service::start(config)),
+            service: Arc::new(service),
         })
     }
 
@@ -57,35 +90,63 @@ impl TcpServer {
     /// drain: join every connection thread and the worker pool before
     /// returning.
     pub fn run(self) -> io::Result<()> {
+        self.run_with(LIMITS)
+    }
+
+    fn run_with(self, limits: Limits) -> io::Result<()> {
+        let metrics = self.service.metrics();
         let mut connections: Vec<JoinHandle<()>> = Vec::new();
-        loop {
-            if self.service.is_shutting_down() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let service = self.service.clone();
-                    let handle = std::thread::Builder::new()
-                        .name("hetsched-conn".to_string())
-                        .spawn(move || serve_connection(stream, &service))
-                        .expect("spawning connection thread");
-                    connections.push(handle);
-                    reap_finished(&mut connections, self.service.metrics());
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+        while !self.service.is_shutting_down() {
+            let stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => {
                     self.service.shutdown();
                     return Err(e);
                 }
+            };
+            if self.service.is_shutting_down() {
+                break; // the wake-up connect
+            }
+            reap_finished(&mut connections, metrics);
+            if connections.len() >= limits.connections {
+                let why = format!("connection limit of {} reached", limits.connections);
+                refuse(&stream, &why, limits.write_stall);
+                continue;
+            }
+            // A failed spawn drops its closure, and the stream with it.
+            let spare = stream.try_clone();
+            let service = self.service.clone();
+            let spawned = std::thread::Builder::new()
+                .name("hetsched-conn".to_string())
+                .spawn(move || serve_connection(stream, &service, limits.write_stall));
+            match (spawned, spare) {
+                (Ok(handle), _) => connections.push(handle),
+                (Err(_), Ok(stream)) => {
+                    refuse(&stream, "no thread for the connection", limits.write_stall)
+                }
+                (Err(_), Err(_)) => {}
             }
         }
-        join_all(connections, self.service.metrics());
+        join_all(connections, metrics);
         self.service.shutdown();
         Ok(())
     }
+}
+
+/// Answer a connection that will not be served with one `busy` line; the
+/// caller then closes it.
+fn refuse(mut stream: &TcpStream, why: &str, write_stall: Duration) {
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    let busy = Response::Busy {
+        message: format!("{why}; retry later"),
+    };
+    let _ = write_line(
+        &mut stream,
+        &mut Vec::new(),
+        busy.to_line().as_bytes(),
+        write_stall,
+    );
 }
 
 /// Join every finished connection thread, keeping the live ones. A bare
@@ -115,94 +176,85 @@ fn join_all(connections: Vec<JoinHandle<()>>, metrics: &ServiceMetrics) {
     }
 }
 
-/// Serve one TCP connection: buffer bytes, answer each complete line,
-/// leave when the peer hangs up or the service shuts down.
-///
-/// The per-line path is allocation-free at steady state: lines are
-/// scanned **in place** inside the persistent read buffer (drained only
-/// after the reply is produced), replies arrive as shared `Arc` bytes
-/// from [`Service::handle_line_bytes`], and one reusable scratch buffer
-/// assembles `reply + '\n'` for a single `write_all`.
-fn serve_connection(stream: TcpStream, service: &Service) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+/// Serve one TCP connection until the peer hangs up, a line is
+/// over-long, a reply write stalls, or the service shuts down. After an
+/// over-long line the rest of it is read off for up to
+/// [`OVERLONG_LINGER`], so the peer can read its `error`.
+fn serve_connection(stream: TcpStream, service: &Service, write_stall: Duration) {
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let mut stream = stream;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut out: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        // Answer every complete line already buffered, even mid-shutdown:
-        // drain-then-exit applies to connections too.
-        while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let reply = match std::str::from_utf8(&pending[..pos]) {
-                Ok(line) => {
-                    let line = line.trim();
-                    (!line.is_empty()).then(|| service.handle_line_bytes(line))
-                }
-                Err(_) => Some(service.invalid_utf8_reply()),
-            };
-            pending.drain(..=pos);
-            if let Some(reply) = reply {
-                if write_reply(&mut stream, &mut out, &reply).is_err() {
-                    return;
-                }
-            }
-        }
-        if service.is_shutting_down() {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed
-            Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                // Read timeout: loop around to re-check the shutdown flag.
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
+    if let Ok(true) = serve_stream(service, &stream, &stream, write_stall, true) {
+        let _ = stream.shutdown(Shutdown::Write);
+        let until = Instant::now() + OVERLONG_LINGER;
+        while !service.is_shutting_down() && discard_input(&stream, until) {}
     }
 }
 
-/// Assemble `reply + '\n'` in the caller's reusable scratch buffer and
-/// write it in one call (one packet under `TCP_NODELAY`).
-fn write_reply(w: &mut impl Write, scratch: &mut Vec<u8>, reply: &[u8]) -> io::Result<()> {
-    scratch.clear();
-    scratch.extend_from_slice(reply);
-    scratch.push(b'\n');
-    w.write_all(scratch)?;
-    w.flush()
-}
-
-/// Serve NDJSON requests from `input` to `output` until EOF or a
-/// `shutdown` request, then drain the worker pool. This is the stdin mode
-/// of the daemon (`hetsched serve --stdin`), also handy for tests.
-pub fn serve_lines(
-    service: &Service,
-    input: impl BufRead,
-    mut output: impl Write,
-) -> io::Result<()> {
-    let mut out: Vec<u8> = Vec::new();
-    for line in input.split(b'\n') {
-        let line = line?;
-        let reply = match std::str::from_utf8(&line) {
-            Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => service.handle_line_bytes(line.trim()),
-            Err(_) => service.invalid_utf8_reply(),
-        };
-        write_reply(&mut output, &mut out, &reply)?;
-        if service.is_shutting_down() {
-            break;
-        }
-    }
+/// Serve NDJSON requests from `input` to `output` until EOF, an
+/// over-long line or a `shutdown` request, then drain the worker pool.
+/// This is the stdin mode of the daemon (`hetsched serve --stdin`), also
+/// handy for tests.
+pub fn serve_lines(service: &Service, input: impl Read, output: impl Write) -> io::Result<()> {
+    serve_stream(service, input, output, WRITE_STALL, false)?;
     service.shutdown();
     Ok(())
+}
+
+/// Answer each line of `input` on `output`, in order, until EOF (a last
+/// line may lack its newline), an over-long line, or shutdown; true if
+/// it stopped on an over-long line. With `drain` the lines already read
+/// are answered first, as a TCP connection does; without it the session
+/// stops right after the reply that began the shutdown, as stdin does.
+/// Lines are framed in place and replies arrive as shared `Arc` bytes:
+/// no per-line allocation at steady state.
+fn serve_stream(
+    service: &Service,
+    mut input: impl Read,
+    mut output: impl Write,
+    write_stall: Duration,
+    drain: bool,
+) -> io::Result<bool> {
+    let mut codec = LineCodec::new(MAX_LINE_BYTES);
+    let mut out: Vec<u8> = Vec::new();
+    let mut eof = false;
+    loop {
+        while let Some(line) = codec.next_line() {
+            let (reply, over_long) = match line {
+                Line::Text(text) => (service.handle_line_bytes(text), false),
+                Line::InvalidUtf8 => (service.error_reply(INVALID_UTF8), false),
+                Line::OverLong => (service.error_reply(LINE_TOO_LONG), true),
+            };
+            write_line(&mut output, &mut out, &reply, write_stall)?;
+            if over_long || (!drain && service.is_shutting_down()) {
+                return Ok(over_long);
+            }
+        }
+        if eof || service.is_shutting_down() {
+            return Ok(false);
+        }
+        match input.read(codec.spare()) {
+            Ok(0) => {
+                eof = true;
+                codec.finish();
+            }
+            Ok(n) => codec.filled(n),
+            // a read timeout: loop around to re-check the shutdown flag
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::INVALID_UTF8;
     use std::io::{BufRead, BufReader, Cursor};
+    use std::net::Shutdown;
 
     fn small_request(weight: f64, options: &str) -> String {
         format!(
@@ -396,5 +448,139 @@ mod tests {
 
         service.begin_shutdown();
         daemon.join().unwrap().unwrap();
+    }
+
+    /// Every reply line until the daemon closes the connection; a read
+    /// timeout fails the test instead of hanging it.
+    fn read_to_eof(stream: &TcpStream) -> Vec<String> {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        BufReader::new(stream)
+            .lines()
+            .map(|l| l.expect("a reply or EOF within 10 s"))
+            .collect()
+    }
+
+    /// A running daemon with `limits`, its address and its service.
+    fn spawn_daemon(
+        limits: Limits,
+    ) -> (
+        std::net::SocketAddr,
+        Arc<Service>,
+        std::thread::JoinHandle<io::Result<()>>,
+    ) {
+        let server = TcpServer::bind("127.0.0.1:0", test_config()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let service = server.service();
+        (
+            addr,
+            service,
+            std::thread::spawn(move || server.run_with(limits)),
+        )
+    }
+
+    #[test]
+    fn an_over_long_line_gets_an_error_then_the_session_ends() {
+        assert!(LINE_TOO_LONG.contains(&MAX_LINE_BYTES.to_string()));
+        let too_long = ("error".to_string(), LINE_TOO_LONG.to_string());
+        let mut wire = vec![b'a'; MAX_LINE_BYTES + 1];
+
+        // TCP: well over the cap and no newline ever arrives. The daemon
+        // reads off the rest before it closes, so the write completes
+        // instead of being reset.
+        let (addr, service, daemon) = spawn_daemon(LIMITS);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(&vec![b'a'; MAX_LINE_BYTES + (1 << 20)])
+            .unwrap();
+        let replies = read_to_eof(&stream);
+        assert_eq!(replies.len(), 1, "{replies:?}");
+        assert_eq!(status_and_message(&replies[0]), too_long);
+        service.begin_shutdown();
+        daemon.join().unwrap().unwrap();
+
+        // stdin mode: the lines after it are never answered
+        wire.extend_from_slice(b"\n{\"op\":\"hello\"}\n");
+        let service = Service::start(test_config());
+        let mut out = Vec::new();
+        serve_lines(&service, Cursor::new(wire), &mut out).unwrap();
+        let replies: Vec<_> = out.lines().map(|l| l.unwrap()).collect();
+        assert_eq!(replies.len(), 1, "{replies:?}");
+        assert_eq!(status_and_message(&replies[0]), too_long);
+    }
+
+    #[test]
+    fn a_half_closed_client_gets_every_reply_in_order() {
+        let (addr, service, daemon) = spawn_daemon(LIMITS);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        // the last line lacks its newline
+        stream
+            .write_all(b"{\"op\":\"hello\"}\n{\"op\":\"stats\"}\n{\"op\":\"nope\"}")
+            .unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let replies = read_to_eof(&stream);
+        assert_eq!(replies.len(), 3, "{replies:?}");
+        assert!(replies[0].contains("\"hello\""), "{}", replies[0]);
+        assert!(replies[1].contains("\"stats\""), "{}", replies[1]);
+        assert_eq!(status_and_message(&replies[2]).0, "error");
+        service.begin_shutdown();
+        daemon.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn connections_over_the_cap_are_refused_busy() {
+        let (addr, service, daemon) = spawn_daemon(Limits {
+            connections: 2,
+            ..LIMITS
+        });
+        let served: Vec<TcpStream> = (0..2)
+            .map(|_| {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                stream.write_all(b"{\"op\":\"hello\"}\n").unwrap();
+                let mut reply = String::new();
+                reader.read_line(&mut reply).unwrap();
+                assert_eq!(status_and_message(&reply).0, "ok");
+                stream
+            })
+            .collect();
+        let refused = TcpStream::connect(addr).unwrap();
+        let replies = read_to_eof(&refused);
+        assert_eq!(replies.len(), 1, "{replies:?}");
+        assert_eq!(status_and_message(&replies[0]).0, "busy");
+        drop(served);
+        service.begin_shutdown();
+        daemon.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_client_that_never_reads_cannot_hold_up_shutdown() {
+        let stall = Duration::from_millis(300);
+        let (addr, service, daemon) = spawn_daemon(Limits {
+            write_stall: stall,
+            ..LIMITS
+        });
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_write_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        // Large replies fill both socket buffers; once the daemon's write
+        // stalls it stops reading, so this loop's writes stall (or fail,
+        // once the daemon drops the connection) too.
+        let line = format!("{{\"op\":\"metrics\"}}{}\n", " ".repeat(4096));
+        for _ in 0..100_000 {
+            if stream.write_all(line.as_bytes()).is_err() {
+                break;
+            }
+        }
+        service.begin_shutdown();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(daemon.join().unwrap()));
+        let ran = rx
+            .recv_timeout(stall + Duration::from_secs(5))
+            .expect("run() returns once the stalled write gives up");
+        ran.unwrap();
+        drop(stream);
     }
 }

@@ -19,6 +19,7 @@
 //! tests).
 
 use serde::Serialize;
+use serde_json::Value;
 
 use crate::{Counters, Event, Trace};
 
@@ -48,6 +49,56 @@ pub fn lanes(trace: &Trace, n_procs: usize) -> Vec<Vec<(f64, f64)>> {
     out
 }
 
+/// A complete (`"ph":"X"`) event: a span on lane (`pid`, `tid`), times in
+/// microseconds.
+#[derive(Debug, Serialize)]
+pub struct Complete {
+    /// Span name.
+    pub name: String,
+    /// Category.
+    pub cat: &'static str,
+    ph: &'static str,
+    /// Process: the lane group.
+    pub pid: u32,
+    /// Thread: the lane.
+    pub tid: u32,
+    /// Start.
+    pub ts: f64,
+    /// Duration.
+    pub dur: f64,
+    /// Arguments; omitted when `null`.
+    #[serde(skip_serializing_if = "Value::is_null")]
+    pub args: Value,
+}
+
+impl Complete {
+    /// A span on lane `(pid, tid)` starting at `ts` and lasting `dur`,
+    /// without arguments.
+    pub fn new(
+        name: String,
+        cat: &'static str,
+        (pid, tid): (u32, u32),
+        (ts, dur): (f64, f64),
+    ) -> Complete {
+        Complete {
+            name,
+            cat,
+            ph: "X",
+            pid,
+            tid,
+            ts,
+            dur,
+            args: Value::Null,
+        }
+    }
+
+    /// The same span carrying `args`.
+    pub fn with_args(mut self, args: impl Serialize) -> Complete {
+        self.args = serde_json::to_value(args).expect("trace args serialize infallibly");
+        self
+    }
+}
+
 #[derive(Serialize)]
 struct NameArgs {
     name: String,
@@ -62,34 +113,44 @@ struct MetaEvent {
     args: NameArgs,
 }
 
+/// The one Chrome-trace writer: assembles a Trace Event Format document
+/// (object form, `{"traceEvents": [...]}`) for [`to_chrome_trace`] and for
+/// the fleet span merger of `hetsched-serve`.
+#[derive(Debug, Default)]
+pub struct ChromeTrace {
+    events: Vec<String>,
+}
+
+impl ChromeTrace {
+    /// Append a metadata (`"ph":"M"`) event: `kind` is `process_name`
+    /// or `thread_name`, naming lane group `pid` or lane (`pid`, `tid`).
+    pub fn meta(&mut self, kind: &str, pid: u32, tid: u32, name: String) {
+        self.push(&MetaEvent {
+            name: kind.to_string(),
+            ph: "M".to_string(),
+            pid,
+            tid,
+            args: NameArgs { name },
+        });
+    }
+
+    /// Append one event.
+    pub fn push(&mut self, event: &impl Serialize) {
+        let json = serde_json::to_string(event).expect("trace events serialize infallibly");
+        self.events.push(json);
+    }
+
+    /// The finished document.
+    pub fn finish(self) -> String {
+        format!("{{\"traceEvents\":[{}]}}", self.events.join(","))
+    }
+}
+
 #[derive(Serialize)]
 struct SlotArgs {
     task: u32,
     step: u64,
     duplicate: bool,
-}
-
-#[derive(Serialize)]
-struct SlotEvent {
-    name: String,
-    cat: String,
-    ph: String,
-    pid: u32,
-    tid: u32,
-    ts: f64,
-    dur: f64,
-    args: SlotArgs,
-}
-
-#[derive(Serialize)]
-struct PhaseEvent {
-    name: String,
-    cat: String,
-    ph: String,
-    pid: u32,
-    tid: u32,
-    ts: f64,
-    dur: f64,
 }
 
 #[derive(Serialize)]
@@ -103,30 +164,16 @@ struct CountersEvent {
     args: Counters,
 }
 
-fn meta(name: &str, pid: u32, tid: u32, value: String) -> MetaEvent {
-    MetaEvent {
-        name: name.to_string(),
-        ph: "M".to_string(),
-        pid,
-        tid,
-        args: NameArgs { name: value },
-    }
-}
-
 /// Serialize `trace` as a Chrome-trace JSON document (object form,
 /// `{"traceEvents": [...]}`) with one lane per processor.
 ///
 /// `n_procs` fixes the lane count so idle processors still get a named
 /// lane — the schedule visualisation then always shows the full machine.
 pub fn to_chrome_trace(trace: &Trace, n_procs: usize) -> String {
-    fn json<T: Serialize>(v: &T) -> String {
-        serde_json::to_string(v).expect("trace events serialize infallibly")
-    }
-    let mut events: Vec<String> = Vec::new();
-
-    events.push(json(&meta("process_name", 0, 0, "schedule".to_string())));
+    let mut doc = ChromeTrace::default();
+    doc.meta("process_name", 0, 0, "schedule".to_string());
     for p in 0..n_procs {
-        events.push(json(&meta("thread_name", 0, p as u32, format!("proc {p}"))));
+        doc.meta("thread_name", 0, p as u32, format!("proc {p}"));
     }
     for e in &trace.events {
         if let Event::Placed {
@@ -139,37 +186,23 @@ pub fn to_chrome_trace(trace: &Trace, n_procs: usize) -> String {
         } = *e
         {
             let mark = if duplicate { "*" } else { "" };
-            events.push(json(&SlotEvent {
-                name: format!("t{task}{mark}"),
-                cat: "slot".to_string(),
-                ph: "X".to_string(),
-                pid: 0,
-                tid: proc,
-                ts: start * 1e6,
-                dur: (finish - start) * 1e6,
-                args: SlotArgs {
-                    task,
-                    step,
-                    duplicate,
-                },
+            let (ts, dur) = (start * 1e6, (finish - start) * 1e6);
+            let slot = Complete::new(format!("t{task}{mark}"), "slot", (0, proc), (ts, dur));
+            doc.push(&slot.with_args(SlotArgs {
+                task,
+                step,
+                duplicate,
             }));
         }
     }
 
-    events.push(json(&meta("process_name", 1, 0, "profile".to_string())));
-    events.push(json(&meta("thread_name", 1, 0, "phases".to_string())));
+    doc.meta("process_name", 1, 0, "profile".to_string());
+    doc.meta("thread_name", 1, 0, "phases".to_string());
     for ph in &trace.phases {
-        events.push(json(&PhaseEvent {
-            name: ph.name.clone(),
-            cat: "phase".to_string(),
-            ph: "X".to_string(),
-            pid: 1,
-            tid: 0,
-            ts: ph.start_ns as f64 / 1e3,
-            dur: ph.dur_ns as f64 / 1e3,
-        }));
+        let (ts, dur) = (ph.start_ns as f64 / 1e3, ph.dur_ns as f64 / 1e3);
+        doc.push(&Complete::new(ph.name.clone(), "phase", (1, 0), (ts, dur)));
     }
-    events.push(json(&CountersEvent {
+    doc.push(&CountersEvent {
         name: "engine_counters".to_string(),
         ph: "i".to_string(),
         s: "g".to_string(),
@@ -177,9 +210,8 @@ pub fn to_chrome_trace(trace: &Trace, n_procs: usize) -> String {
         tid: 0,
         ts: 0.0,
         args: trace.counters,
-    }));
-
-    format!("{{\"traceEvents\":[{}]}}", events.join(","))
+    });
+    doc.finish()
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! degradation when a shard dies mid-traffic, and patch-parent recovery
 //! after a shard evicts the parent.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -473,4 +473,158 @@ fn invalid_utf8_line_gets_a_structured_error_in_order() {
     );
     assert_eq!(replies[2]["status"].as_str(), Some("ok"), "{replies:?}");
     topo.shutdown();
+}
+
+/// Every reply line until the gateway closes the connection (the
+/// client's 30 s read timeout fails the test instead of hanging it).
+fn read_to_eof(reader: &mut BufReader<TcpStream>) -> Vec<serde_json::Value> {
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).expect("replies, then EOF");
+    rest.lines()
+        .map(|l| serde_json::from_str(l).unwrap_or_else(|e| panic!("bad reply `{l}`: {e}")))
+        .collect()
+}
+
+/// A line well over the cap, with no newline, gets a structured `error`,
+/// then EOF. The gateway reads off the rest of the line before it closes,
+/// so the client's write completes instead of being reset.
+#[test]
+fn an_over_long_line_gets_an_error_then_eof() {
+    let topo = spawn_topology(1);
+    let mut c = Client::connect(topo.addr);
+    let line = vec![b'a'; hetsched_serve::transport::MAX_LINE_BYTES + (1 << 20)];
+    c.writer.write_all(&line).unwrap();
+    let replies = read_to_eof(&mut c.reader);
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    assert_eq!(replies[0]["status"].as_str(), Some("error"));
+    assert_eq!(
+        replies[0]["message"].as_str(),
+        Some(hetsched_serve::protocol::LINE_TOO_LONG)
+    );
+    topo.shutdown();
+}
+
+/// A client that sends three lines, the last without its newline, and
+/// half-closes its socket still gets three replies, in order.
+#[test]
+fn a_half_closed_client_gets_every_reply_in_order() {
+    let topo = spawn_topology(1);
+    let mut c = Client::connect(topo.addr);
+    let wire = format!(
+        "{}\n{{\"op\":\"hello\"}}\n{{\"op\":\"metrics\"}}",
+        schedule_request(4, "HEFT", "{}")
+    );
+    c.writer.write_all(wire.as_bytes()).unwrap();
+    c.writer.shutdown(Shutdown::Write).unwrap();
+    let replies = read_to_eof(&mut c.reader);
+    assert_eq!(replies.len(), 3, "{replies:?}");
+    assert!(replies[0]["schedule"].as_object().is_some(), "{replies:?}");
+    assert!(replies[1]["hello"].as_object().is_some(), "{replies:?}");
+    assert!(replies[2]["metrics"].as_str().is_some(), "{replies:?}");
+    topo.shutdown();
+}
+
+/// The `hello` reply of a `hetsched-serve` shard, as far as the gateway's
+/// handshake reads it.
+const SHARD_HELLO: &[u8] = b"{\"status\":\"ok\",\"hello\":{\"service\":\"hetsched-serve\"}}\n";
+
+/// A fake shard on an ephemeral port: it passes the `hello` handshake and
+/// answers every other line with `reply` (newline included), on every
+/// connection the gateway opens. Its threads end with the test process.
+fn fake_shard(reply: Vec<u8>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let reply = Arc::new(reply);
+    std::thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            let reply = reply.clone();
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut writer = stream;
+                let mut line = String::new();
+                while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                    let answer = if line.contains("\"hello\"") {
+                        SHARD_HELLO
+                    } else {
+                        &reply[..]
+                    };
+                    if writer.write_all(answer).is_err() {
+                        return;
+                    }
+                    line.clear();
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// A gateway over `backends` that keeps a `shutdown` to itself, its
+/// address and its thread.
+fn spawn_gateway(
+    backends: Vec<String>,
+) -> (
+    std::net::SocketAddr,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    let config = GatewayConfig {
+        backends,
+        propagate_shutdown: false,
+        ..Default::default()
+    };
+    let server = GatewayServer::bind("127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr().unwrap();
+    (addr, std::thread::spawn(move || server.run()))
+}
+
+/// A shard reply that is not valid UTF-8 is a shard error and is never
+/// forwarded: rewriting the bad byte to U+FFFD would hand the client an
+/// `ok` the shard never sent.
+#[test]
+fn a_shard_reply_that_is_not_utf8_is_never_forwarded() {
+    let shard =
+        fake_shard(b"{\"status\":\"ok\",\"schedule\":{\"algorithm\":\"HEFT\xff\"}}\n".to_vec());
+    let (addr, gateway) = spawn_gateway(vec![shard]);
+    let mut c = Client::connect(addr);
+    let reply = c.roundtrip(&schedule_request(4, "HEFT", "{}"));
+    assert_eq!(reply["status"].as_str(), Some("error"), "{reply:?}");
+    let bye = c.roundtrip(r#"{"op":"shutdown"}"#);
+    assert_eq!(bye["status"].as_str(), Some("shutting_down"), "{bye:?}");
+    gateway.join().unwrap().unwrap();
+}
+
+/// Shard replies have no line cap: a traced reply can be twice its
+/// request. One over `MAX_LINE_BYTES` is forwarded byte for byte, and no
+/// shard is marked down for it.
+#[test]
+fn a_shard_reply_over_the_line_cap_is_forwarded() {
+    let pad = "x".repeat(hetsched_serve::transport::MAX_LINE_BYTES);
+    let reply = format!("{{\"status\":\"ok\",\"schedule\":{{\"pad\":\"{pad}\"}}}}");
+    let shards: Vec<String> = (0..2)
+        .map(|_| fake_shard(format!("{reply}\n").into_bytes()))
+        .collect();
+    let (addr, gateway) = spawn_gateway(shards.clone());
+    let mut c = Client::connect(addr);
+    let got = c.roundtrip_raw(&schedule_request(4, "HEFT", "{}"));
+    assert!(
+        got == reply,
+        "a {} byte reply came back as {} bytes: {:.200}",
+        reply.len(),
+        got.len(),
+        got
+    );
+    let metrics = c.roundtrip(r#"{"op":"metrics"}"#);
+    let text = metrics["metrics"].as_str().unwrap();
+    for shard in &shards {
+        for (metric, want) in [
+            ("hetsched_gateway_shard_up", 1),
+            ("hetsched_gateway_shard_errors_total", 0),
+        ] {
+            let line = format!("{metric}{{shard=\"{shard}\"}} {want}\n");
+            assert!(text.contains(&line), "no `{}` in\n{text}", line.trim());
+        }
+    }
+    let bye = c.roundtrip(r#"{"op":"shutdown"}"#);
+    assert_eq!(bye["status"].as_str(), Some("shutting_down"), "{bye:?}");
+    gateway.join().unwrap().unwrap();
 }

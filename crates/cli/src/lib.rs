@@ -119,7 +119,7 @@ commands:
                per-tier timing block, --trace-id pins the trace id)
   algorithms  list scheduler names usable with --alg
 
---jobs N sets the intra-algorithm search threads for GA, ILS-D, DUP-HEFT,
-and BNB (schedules are bit-identical at any thread count). The
-HETSCHED_JOBS environment variable is the fallback; the default is the
-machine's available parallelism.";
+--jobs N sets the intra-algorithm search threads for GA and BNB
+(schedules are bit-identical at any thread count). The HETSCHED_JOBS
+environment variable is the fallback; the default is the machine's
+available parallelism.";

@@ -73,63 +73,6 @@ pub(crate) fn place_with_duplication(
     finish
 }
 
-/// A speculative placement to evaluate (or commit) for one task.
-///
-/// The duplication schedulers probe several of these per task; probing
-/// runs under the schedule trial log ([`Schedule::begin_trial`]) instead
-/// of cloning the schedule, and the same spec replayed on an identical
-/// schedule commits the identical placement — which is what keeps the
-/// replay-pool replicas of the parallel path in lockstep.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum TrialSpec {
-    /// Plain insertion at a precomputed interval (no duplication).
-    Plain {
-        /// Target processor.
-        p: ProcId,
-        /// Precomputed start time.
-        start: f64,
-        /// Precomputed finish time.
-        finish: f64,
-    },
-    /// Duplication-assisted placement ([`place_with_duplication`]) on `p`.
-    Dup {
-        /// Target processor.
-        p: ProcId,
-    },
-}
-
-/// A task placement decision: apply [`TrialSpec`] `spec` for task `t`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Commit {
-    /// The task being placed.
-    pub t: TaskId,
-    /// How to place it.
-    pub spec: TrialSpec,
-}
-
-/// Apply `c` to `s` for real, returning the finish time of the task's
-/// primary copy. Deterministic: identical schedules produce identical
-/// placements (bit-for-bit).
-pub(crate) fn apply_spec(dag: &Dag, sys: &System, s: &mut Schedule, c: &Commit) -> f64 {
-    match c.spec {
-        TrialSpec::Plain { p, start, finish } => {
-            s.insert(c.t, p, start, finish - start)
-                .expect("planned placement is conflict-free");
-            finish
-        }
-        TrialSpec::Dup { p } => place_with_duplication(dag, sys, s, c.t, p),
-    }
-}
-
-/// Probe `c` on `s` without keeping it: apply under the trial log, read
-/// the finish, roll back. `s` is restored bit-for-bit.
-pub(crate) fn trial_finish(dag: &Dag, sys: &System, s: &mut Schedule, c: &Commit) -> f64 {
-    s.begin_trial();
-    let finish = apply_spec(dag, sys, s, c);
-    s.rollback_trial();
-    finish
-}
-
 /// HEFT ordering with duplication-enhanced processor selection.
 ///
 /// For each task the scheduler evaluates the `candidates` best processors
@@ -137,11 +80,6 @@ pub(crate) fn trial_finish(dag: &Dag, sys: &System, s: &mut Schedule, c: &Commit
 /// under the schedule's trial log (snapshot/undo — no clone) and commits
 /// the best outcome. With `candidates = 1` this is DSH-style greedy
 /// duplication on HEFT's chosen processor.
-///
-/// With [`crate::par::effective_jobs`] > 1 the per-task candidate trials
-/// fan out over a deterministic replay pool; the winner is chosen by the
-/// same fold in submission order, so the schedule is bit-identical at any
-/// thread count.
 #[derive(Debug, Clone, Copy)]
 pub struct DupHeft {
     /// How many top-EFT processors to evaluate with duplication.
@@ -174,84 +112,37 @@ impl Scheduler for DupHeft {
     fn schedule_instance(&self, inst: &ProblemInstance) -> Schedule {
         let (dag, sys) = (inst.dag(), inst.sys());
         let k = self.candidates.max(1);
-        let jobs = crate::par::effective_jobs().min(k);
         let order = sort_by_priority_desc(&inst.upward_rank(self.agg));
-
-        // The winner fold, verbatim from the sequential history: keep the
-        // incumbent unless the new finish beats it by more than TIME_EPS.
-        let fold = |finishes: &[f64], cand: &[(ProcId, f64, f64)]| -> (f64, ProcId) {
+        let mut sched = Schedule::new(dag.num_tasks(), sys.num_procs());
+        let mut ctx = EftContext::new(sys);
+        let mut cand: Vec<(ProcId, f64, f64)> = Vec::with_capacity(sys.num_procs());
+        for t in order {
+            // rank candidate processors by plain EFT (infinite tolerance ->
+            // all processors, sorted by finish then id)
+            ctx.eft_candidates_into(inst, &sched, t, true, f64::INFINITY, &mut cand);
+            cand.truncate(k);
+            // probe each candidate under the trial log; keep the incumbent
+            // unless the new finish beats it by more than TIME_EPS
             let mut best: Option<(f64, ProcId)> = None;
-            for (i, &finish) in finishes.iter().enumerate() {
-                match &best {
-                    Some((bf, _)) if finish + TIME_EPS >= *bf => {}
-                    _ => best = Some((finish, cand[i].0)),
+            for &(p, _, _) in &cand {
+                sched.begin_trial();
+                let finish = place_with_duplication(dag, sys, &mut sched, t, p);
+                sched.rollback_trial();
+                match best {
+                    Some((bf, _)) if finish + TIME_EPS >= bf => {}
+                    _ => best = Some((finish, p)),
                 }
             }
-            best.expect("at least one candidate")
-        };
-
-        let drive = |rounds: Option<&mut crate::par::Rounds<Commit, Commit, f64>>| -> Schedule {
-            let mut rounds = rounds;
-            let mut sched = Schedule::new(dag.num_tasks(), sys.num_procs());
-            let mut ctx = EftContext::new(sys);
-            let mut cand: Vec<(ProcId, f64, f64)> = Vec::with_capacity(sys.num_procs());
-            let mut pending: Option<Commit> = None;
-            for t in order {
-                // rank candidate processors by plain EFT (infinite
-                // tolerance -> all processors, sorted by finish then id)
-                ctx.eft_candidates_into(inst, &sched, t, true, f64::INFINITY, &mut cand);
-                cand.truncate(k);
-                let finishes: Vec<f64> = match rounds.as_deref_mut() {
-                    Some(pool) => pool.round(
-                        pending.as_ref(),
-                        cand.iter()
-                            .map(|&(p, _, _)| Commit {
-                                t,
-                                spec: TrialSpec::Dup { p },
-                            })
-                            .collect(),
-                    ),
-                    None => cand
-                        .iter()
-                        .map(|&(p, _, _)| {
-                            let c = Commit {
-                                t,
-                                spec: TrialSpec::Dup { p },
-                            };
-                            trial_finish(dag, sys, &mut sched, &c)
-                        })
-                        .collect(),
-                };
-                let (best_finish, p) = fold(&finishes, &cand);
-                let commit = Commit {
-                    t,
-                    spec: TrialSpec::Dup { p },
-                };
-                let finish = apply_spec(dag, sys, &mut sched, &commit);
-                debug_assert_eq!(
-                    finish.to_bits(),
-                    best_finish.to_bits(),
-                    "re-applying the winning trial must reproduce its finish"
-                );
-                pending = Some(commit);
-            }
-            debug_assert!(sched.is_complete());
-            sched
-        };
-
-        if jobs <= 1 {
-            drive(None)
-        } else {
-            crate::par::scoped_replay_pool(
-                jobs,
-                || Schedule::new(dag.num_tasks(), sys.num_procs()),
-                |s: &mut Schedule, c: &Commit| {
-                    apply_spec(dag, sys, s, c);
-                },
-                |s: &mut Schedule, c: &Commit| trial_finish(dag, sys, s, c),
-                |rounds| drive(Some(rounds)),
-            )
+            let (best_finish, p) = best.expect("at least one candidate");
+            let finish = place_with_duplication(dag, sys, &mut sched, t, p);
+            debug_assert_eq!(
+                finish.to_bits(),
+                best_finish.to_bits(),
+                "re-applying the winning trial must reproduce its finish"
+            );
         }
+        debug_assert!(sched.is_complete());
+        sched
     }
 }
 

@@ -66,23 +66,6 @@ impl Heft {
         sched: &mut Schedule,
     ) {
         let mut ctx = EftContext::new(inst.sys());
-        self.run_eft_loop_ctx(inst, rank, order, from, sched, &mut ctx);
-    }
-
-    /// [`Heft::run_eft_loop`] with a caller-owned [`EftContext`] — the
-    /// batched path of [`Scheduler::schedule_many`] threads one context
-    /// (and thereby one frontier buffer) through every instance of the
-    /// batch. A context freshly `reset_for` the instance's system behaves
-    /// exactly like a new one, so both entry points place identically.
-    pub(crate) fn run_eft_loop_ctx(
-        &self,
-        inst: &ProblemInstance,
-        rank: &[f64],
-        order: &[hetsched_dag::TaskId],
-        from: usize,
-        sched: &mut Schedule,
-        ctx: &mut EftContext,
-    ) {
         let _span = hetsched_trace::span("eft_loop");
         for (step, &t) in order.iter().enumerate().skip(from) {
             hetsched_trace::emit(|| hetsched_trace::Event::TaskSelected {
@@ -119,30 +102,6 @@ impl Scheduler for Heft {
         let mut sched = Schedule::new(dag.num_tasks(), sys.num_procs());
         self.run_eft_loop(inst, &rank, &order, 0, &mut sched);
         sched
-    }
-
-    /// Batched scheduling reusing one [`EftContext`] (one arrival-frontier
-    /// buffer) across every instance. Each instance still gets its own
-    /// rank/order/schedule, and `reset_for` makes the shared context
-    /// indistinguishable from a fresh one, so each output is bit-identical
-    /// to the sequential `schedule_instance` call.
-    fn schedule_many(&self, insts: &[ProblemInstance]) -> Vec<Schedule> {
-        let mut ctx: Option<EftContext> = None;
-        let mut out = Vec::with_capacity(insts.len());
-        for inst in insts {
-            let (dag, sys) = (inst.dag(), inst.sys());
-            let rank = {
-                let _span = hetsched_trace::span("rank");
-                inst.upward_rank(self.agg)
-            };
-            let order = sort_by_priority_desc(&rank);
-            let mut sched = Schedule::new(dag.num_tasks(), sys.num_procs());
-            let ctx = ctx.get_or_insert_with(|| EftContext::new(sys));
-            ctx.reset_for(sys);
-            self.run_eft_loop_ctx(inst, &rank, &order, 0, &mut sched, ctx);
-            out.push(sched);
-        }
-        out
     }
 }
 

@@ -95,23 +95,6 @@ impl Hoft {
         rank
     }
 
-    /// The full HOFT run against a caller-owned context (the batched
-    /// `schedule_many` path threads one context through every instance).
-    fn schedule_with_ctx(&self, inst: &ProblemInstance, ctx: &mut EftContext) -> Schedule {
-        let (dag, sys) = (inst.dag(), inst.sys());
-        let np = sys.num_procs();
-        let (oft, rank) = {
-            let _span = hetsched_trace::span("rank");
-            let oft = Self::oft_table(dag, sys);
-            let rank = Self::priorities(dag, np, &oft);
-            (oft, rank)
-        };
-        let order = sort_by_priority_desc(&rank);
-        let mut sched = Schedule::new(dag.num_tasks(), np);
-        self.place_from(inst, &oft, &rank, &order, 0, &mut sched, ctx);
-        sched
-    }
-
     /// The two-candidate lookahead placement loop from rank-order position
     /// `from` onward, shared between the from-scratch run (which starts at
     /// 0 on an empty schedule) and [`Hoft::repair`] (which replays the
@@ -119,7 +102,6 @@ impl Hoft {
     /// position). Both callers execute identical placement code over
     /// identical schedule state — the repair bit-identity argument needs
     /// exactly that.
-    #[allow(clippy::too_many_arguments)] // two-call-site plumbing of run state
     pub(crate) fn place_from(
         &self,
         inst: &ProblemInstance,
@@ -128,10 +110,10 @@ impl Hoft {
         order: &[hetsched_dag::TaskId],
         from: usize,
         sched: &mut Schedule,
-        ctx: &mut EftContext,
     ) {
         let sys = inst.sys();
         let np = sys.num_procs();
+        let mut ctx = EftContext::new(sys);
         let _span = hetsched_trace::span("eft_loop");
         let tracing = hetsched_trace::enabled();
         // per-task EFT row, reused across tasks like the context's frontier
@@ -209,20 +191,18 @@ impl Scheduler for Hoft {
     }
 
     fn schedule_instance(&self, inst: &ProblemInstance) -> Schedule {
-        let mut ctx = EftContext::new(inst.sys());
-        self.schedule_with_ctx(inst, &mut ctx)
-    }
-
-    fn schedule_many(&self, insts: &[ProblemInstance]) -> Vec<Schedule> {
-        let mut ctx: Option<EftContext> = None;
-        insts
-            .iter()
-            .map(|inst| {
-                let c = ctx.get_or_insert_with(|| EftContext::new(inst.sys()));
-                c.reset_for(inst.sys());
-                self.schedule_with_ctx(inst, c)
-            })
-            .collect()
+        let (dag, sys) = (inst.dag(), inst.sys());
+        let np = sys.num_procs();
+        let (oft, rank) = {
+            let _span = hetsched_trace::span("rank");
+            let oft = Self::oft_table(dag, sys);
+            let rank = Self::priorities(dag, np, &oft);
+            (oft, rank)
+        };
+        let order = sort_by_priority_desc(&rank);
+        let mut sched = Schedule::new(dag.num_tasks(), np);
+        self.place_from(inst, &oft, &rank, &order, 0, &mut sched);
+        sched
     }
 }
 

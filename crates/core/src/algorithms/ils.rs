@@ -24,7 +24,7 @@
 use hetsched_dag::{Dag, TaskId};
 use hetsched_platform::{ProcId, System};
 
-use crate::algorithms::duplication::{apply_spec, Commit, TrialSpec};
+use crate::algorithms::duplication::place_with_duplication;
 use crate::algorithms::mcp::alap_order;
 use crate::cost::CostAggregation;
 use crate::engine::EftContext;
@@ -112,25 +112,48 @@ fn pick_by_lookahead(
     best.1
 }
 
-/// One speculative ILS-D placement to score: the spec plus the critical
-/// child whose estimated finish breaks near-ties.
+/// One candidate placement of an ILS-D task, probed under the schedule
+/// trial log ([`Schedule::begin_trial`]) and then committed: applying it
+/// twice to identical schedules places identically, bit for bit.
 #[derive(Debug, Clone, Copy)]
-struct EvalItem {
-    c: Commit,
-    child: Option<(TaskId, f64)>,
+enum TrialSpec {
+    /// Plain insertion at a precomputed interval (no duplication).
+    Plain { p: ProcId, start: f64, finish: f64 },
+    /// Duplication-assisted placement ([`place_with_duplication`]) on `p`.
+    Dup { p: ProcId },
 }
 
-/// Probe `item` on `s` under the trial log and return
-/// `(lookahead score, finish)` — the score is computed *with the probe
-/// applied* (it reads processor availabilities the placement changes),
-/// then everything is rolled back, leaving `s` bit-identical.
-fn eval_trial(dag: &Dag, sys: &System, s: &mut Schedule, item: &EvalItem) -> (f64, f64) {
-    let p = match item.c.spec {
-        TrialSpec::Plain { p, .. } | TrialSpec::Dup { p } => p,
-    };
+impl TrialSpec {
+    /// Place `t` on `s` for real, returning the finish time of its
+    /// primary copy.
+    fn apply(self, dag: &Dag, sys: &System, s: &mut Schedule, t: TaskId) -> f64 {
+        match self {
+            TrialSpec::Plain { p, start, finish } => {
+                s.insert(t, p, start, finish - start)
+                    .expect("planned placement is conflict-free");
+                finish
+            }
+            TrialSpec::Dup { p } => place_with_duplication(dag, sys, s, t, p),
+        }
+    }
+}
+
+/// Probe `spec` for `t` on `s` under the trial log and return
+/// `(lookahead score of child, finish)` — the score is computed *with the
+/// probe applied* (it reads processor availabilities the placement
+/// changes), then everything is rolled back, leaving `s` bit-identical.
+fn eval_trial(
+    dag: &Dag,
+    sys: &System,
+    s: &mut Schedule,
+    t: TaskId,
+    spec: TrialSpec,
+    child: Option<(TaskId, f64)>,
+) -> (f64, f64) {
+    let (TrialSpec::Plain { p, .. } | TrialSpec::Dup { p }) = spec;
     s.begin_trial();
-    let finish = apply_spec(dag, sys, s, &item.c);
-    let score = match item.child {
+    let finish = spec.apply(dag, sys, s, t);
+    let score = match child {
         Some((c, data)) => lookahead_score(sys, s, c, data, p, finish),
         None => finish,
     };
@@ -138,20 +161,12 @@ fn eval_trial(dag: &Dag, sys: &System, s: &mut Schedule, item: &EvalItem) -> (f6
     (score, finish)
 }
 
-/// The replay-pool round type ILS-D fans its duplication trials out on.
-type DupRounds = crate::par::Rounds<Commit, EvalItem, (f64, f64)>;
-
 /// Shared ILS processor selection: take the EFT-candidate set within
 /// `tolerance`, re-rank near-ties by the lookahead score of `t`'s critical
 /// `child` (plain EFT order when `None`), and place `t` (with optional
-/// duplication). Returns nothing; mutates `sched`. `ctx` and `cands` are
+/// duplication, whose candidates are probed in place under the schedule
+/// trial log). Returns nothing; mutates `sched`. `ctx` and `cands` are
 /// scratch buffers owned by the caller's scheduling loop.
-///
-/// With `duplication`, candidate probes either run in-place under the
-/// schedule trial log (`pool = None`) or fan out over a deterministic
-/// replay pool whose replicas are kept in lockstep by re-broadcasting the
-/// previous commit (`pending`). Both paths reduce with the identical fold
-/// in submission order, so the placement is the same bit-for-bit.
 #[allow(clippy::too_many_arguments)]
 fn select_and_place(
     inst: &ProblemInstance,
@@ -162,8 +177,6 @@ fn select_and_place(
     child: Option<(TaskId, f64)>,
     tolerance: f64,
     duplication: bool,
-    pool: Option<&mut DupRounds>,
-    pending: &mut Option<Commit>,
 ) {
     let (dag, sys) = (inst.dag(), inst.sys());
     ctx.eft_candidates_into(inst, sched, t, true, tolerance, cands);
@@ -183,38 +196,21 @@ fn select_and_place(
     // narrow — evaluate the top processors by plain EFT instead (at least
     // the whole near-tie set, at most 3 extra).
     let near_ties = cands.len();
-    let plain_best = cands[0]; // EFT-minimal placement without duplication
+    // the EFT-minimal placement without duplication competes too: greedy
+    // duplication can occupy gaps later tasks would have used, so it must
+    // *win* the local comparison to be committed — it probes first
+    let plain = {
+        let (p, start, finish) = cands[0];
+        TrialSpec::Plain { p, start, finish }
+    };
     ctx.eft_candidates_into(inst, sched, t, true, f64::INFINITY, cands);
     cands.truncate(near_ties.max(3));
-    // the plain (no-duplication) placement competes too: greedy duplication
-    // can occupy gaps later tasks would have used, so it must *win* the
-    // local comparison to be committed — it probes first, as it always has
-    let mut specs: Vec<Commit> = Vec::with_capacity(cands.len() + 1);
-    {
-        let (p, start, finish) = plain_best;
-        specs.push(Commit {
-            t,
-            spec: TrialSpec::Plain { p, start, finish },
-        });
-    }
-    specs.extend(cands.iter().map(|&(p, _, _)| Commit {
-        t,
-        spec: TrialSpec::Dup { p },
-    }));
-    let results: Vec<(f64, f64)> = match pool {
-        Some(rounds) => rounds.round(
-            pending.as_ref(),
-            specs.iter().map(|&c| EvalItem { c, child }).collect(),
-        ),
-        None => specs
-            .iter()
-            .map(|&c| eval_trial(dag, sys, sched, &EvalItem { c, child }))
-            .collect(),
-    };
-    // ordered fold over the probe results: the original `consider`
-    // comparison, verbatim, in submission order
-    let mut best: Option<(f64, f64, usize)> = None;
-    for (i, &(score, finish)) in results.iter().enumerate() {
+    let specs = std::iter::once(plain).chain(cands.iter().map(|&(p, _, _)| TrialSpec::Dup { p }));
+    // fold in probe order: of two scores within TIME_EPS, the earlier
+    // probe wins unless the later one finishes more than TIME_EPS sooner
+    let mut best: Option<(f64, f64, TrialSpec)> = None;
+    for spec in specs {
+        let (score, finish) = eval_trial(dag, sys, sched, t, spec, child);
         let better = match &best {
             None => true,
             Some((bs, bf, _)) => {
@@ -223,18 +219,59 @@ fn select_and_place(
             }
         };
         if better {
-            best = Some((score, finish, i));
+            best = Some((score, finish, spec));
         }
     }
-    let (_, best_finish, idx) = best.expect("candidate set non-empty");
-    let commit = specs[idx];
-    let finish = apply_spec(dag, sys, sched, &commit);
+    let (_, best_finish, spec) = best.expect("candidate set non-empty");
+    let finish = spec.apply(dag, sys, sched, t);
     debug_assert_eq!(
         finish.to_bits(),
         best_finish.to_bits(),
         "re-applying the winning trial must reproduce its finish"
     );
-    *pending = Some(commit);
+}
+
+/// The ILS-H / ILS-D run: `agg` upward ranks, then [`select_and_place`]
+/// for every task in rank order, with the critical-child lookahead when
+/// `lookahead` and parent duplication when `duplication`.
+fn rank_and_place(
+    inst: &ProblemInstance,
+    agg: CostAggregation,
+    tolerance: f64,
+    lookahead: bool,
+    duplication: bool,
+) -> Schedule {
+    let (dag, sys) = (inst.dag(), inst.sys());
+    let comm = MeanComm::default();
+    let rank = {
+        let _span = hetsched_trace::span("rank");
+        inst.upward_rank_in(agg, &comm)
+    };
+    let order = sort_by_priority_desc(&rank);
+    let comm = lookahead.then(|| comm.get(dag, sys));
+    let mut sched = Schedule::new(dag.num_tasks(), sys.num_procs());
+    let mut ctx = EftContext::new(sys);
+    let mut cands = Vec::with_capacity(sys.num_procs());
+    let _span = hetsched_trace::span("place_loop");
+    for (step, t) in order.into_iter().enumerate() {
+        hetsched_trace::emit(|| hetsched_trace::Event::TaskSelected {
+            step: step as u64,
+            task: t.index() as u32,
+            priority: rank[t.index()],
+        });
+        let child = comm.and_then(|comm| critical_child(dag, comm, &rank, t));
+        select_and_place(
+            inst,
+            &mut sched,
+            &mut ctx,
+            &mut cands,
+            t,
+            child,
+            tolerance,
+            duplication,
+        );
+    }
+    sched
 }
 
 /// ILS-H: spread-aware ranks + lookahead EFT selection (heterogeneous).
@@ -271,39 +308,7 @@ impl Scheduler for IlsH {
     }
 
     fn schedule_instance(&self, inst: &ProblemInstance) -> Schedule {
-        let (dag, sys) = (inst.dag(), inst.sys());
-        let comm = MeanComm::default();
-        let rank = {
-            let _span = hetsched_trace::span("rank");
-            inst.upward_rank_in(self.agg, &comm)
-        };
-        let order = sort_by_priority_desc(&rank);
-        let comm = self.lookahead.then(|| comm.get(dag, sys));
-        let mut sched = Schedule::new(dag.num_tasks(), sys.num_procs());
-        let mut ctx = EftContext::new(sys);
-        let mut cands = Vec::with_capacity(sys.num_procs());
-        let _span = hetsched_trace::span("place_loop");
-        for (step, t) in order.into_iter().enumerate() {
-            hetsched_trace::emit(|| hetsched_trace::Event::TaskSelected {
-                step: step as u64,
-                task: t.index() as u32,
-                priority: rank[t.index()],
-            });
-            let child = comm.and_then(|comm| critical_child(dag, comm, &rank, t));
-            select_and_place(
-                inst,
-                &mut sched,
-                &mut ctx,
-                &mut cands,
-                t,
-                child,
-                self.tolerance,
-                false,
-                None,
-                &mut None,
-            );
-        }
-        sched
+        rank_and_place(inst, self.agg, self.tolerance, self.lookahead, false)
     }
 }
 
@@ -341,62 +346,7 @@ impl Scheduler for IlsD {
     }
 
     fn schedule_instance(&self, inst: &ProblemInstance) -> Schedule {
-        let (dag, sys) = (inst.dag(), inst.sys());
-        let comm = MeanComm::default();
-        let rank = {
-            let _span = hetsched_trace::span("rank");
-            inst.upward_rank_in(self.agg, &comm)
-        };
-        let order = sort_by_priority_desc(&rank);
-        let comm = self.lookahead.then(|| comm.get(dag, sys));
-        // each round probes one plain placement plus up to
-        // `max(near_ties, 3)` duplication candidates — more workers than
-        // processors + 1 can never all be busy
-        let jobs = crate::par::effective_jobs().min(sys.num_procs() + 1);
-
-        let run = |pool: Option<&mut DupRounds>| -> Schedule {
-            let mut pool = pool;
-            let mut sched = Schedule::new(dag.num_tasks(), sys.num_procs());
-            let mut ctx = EftContext::new(sys);
-            let mut cands = Vec::with_capacity(sys.num_procs());
-            let mut pending: Option<Commit> = None;
-            let _span = hetsched_trace::span("place_loop");
-            for (step, &t) in order.iter().enumerate() {
-                hetsched_trace::emit(|| hetsched_trace::Event::TaskSelected {
-                    step: step as u64,
-                    task: t.index() as u32,
-                    priority: rank[t.index()],
-                });
-                let child = comm.and_then(|comm| critical_child(dag, comm, &rank, t));
-                select_and_place(
-                    inst,
-                    &mut sched,
-                    &mut ctx,
-                    &mut cands,
-                    t,
-                    child,
-                    self.tolerance,
-                    true,
-                    pool.as_deref_mut(),
-                    &mut pending,
-                );
-            }
-            sched
-        };
-
-        if jobs <= 1 {
-            run(None)
-        } else {
-            crate::par::scoped_replay_pool(
-                jobs,
-                || Schedule::new(dag.num_tasks(), sys.num_procs()),
-                |s: &mut Schedule, c: &Commit| {
-                    apply_spec(dag, sys, s, c);
-                },
-                |s: &mut Schedule, item: &EvalItem| eval_trial(dag, sys, s, item),
-                |rounds| run(Some(rounds)),
-            )
-        }
+        rank_and_place(inst, self.agg, self.tolerance, self.lookahead, true)
     }
 }
 
@@ -456,8 +406,6 @@ impl Scheduler for IlsM {
                 critical_child(dag, comm, &rank, t),
                 self.tolerance,
                 false,
-                None,
-                &mut None,
             );
         }
         sched

@@ -68,8 +68,7 @@ pub fn with_reference_engine<R>(f: impl FnOnce() -> R) -> R {
 ///
 /// Construct once per scheduling run (`EftContext::new(sys)`) and pass to
 /// each query; buffers are recycled across tasks. A context is tied to the
-/// processor count of the system it was built for; batch schedulers reuse
-/// one context across instances via [`Self::reset_for`].
+/// processor count of the system it was built for.
 #[derive(Debug)]
 pub struct EftContext {
     /// Dispatch to the naive reference implementations (captured from
@@ -87,16 +86,6 @@ impl EftContext {
             reference: reference_engine_active(),
             ready: vec![0.0; sys.num_procs()],
         }
-    }
-
-    /// Re-arm this context for another system, reusing its buffers —
-    /// equivalent to dropping it and constructing `EftContext::new(sys)`,
-    /// without the reallocation. The batched `schedule_many` loops call
-    /// this between instances.
-    pub fn reset_for(&mut self, sys: &System) {
-        self.reference = reference_engine_active();
-        self.ready.clear();
-        self.ready.resize(sys.num_procs(), 0.0);
     }
 
     /// Data-ready time of `t` on *every* processor: `out[p]` equals

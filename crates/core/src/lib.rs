@@ -91,21 +91,6 @@ pub trait Scheduler {
     fn schedule(&self, dag: &Dag, sys: &System) -> Schedule {
         self.schedule_instance(&ProblemInstance::from_refs(dag, sys))
     }
-
-    /// Schedule a batch of instances, returning one schedule per instance
-    /// in input order.
-    ///
-    /// Semantically identical to mapping [`Scheduler::schedule_instance`]
-    /// over the batch — every returned schedule is bit-identical to the
-    /// sequential call, at every batch size (enforced by the cross-crate
-    /// property tests). The default implementation *is* that loop;
-    /// EFT-family schedulers override it to reuse one scratch context
-    /// (its arrival-frontier buffer) across the whole batch, which
-    /// is where batched serve traffic of many small DAGs wins: per-instance
-    /// setup amortizes away while the scheduling math stays untouched.
-    fn schedule_many(&self, insts: &[ProblemInstance]) -> Vec<Schedule> {
-        insts.iter().map(|i| self.schedule_instance(i)).collect()
-    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for &S {
@@ -118,9 +103,6 @@ impl<S: Scheduler + ?Sized> Scheduler for &S {
     fn schedule(&self, dag: &Dag, sys: &System) -> Schedule {
         (**self).schedule(dag, sys)
     }
-    fn schedule_many(&self, insts: &[ProblemInstance]) -> Vec<Schedule> {
-        (**self).schedule_many(insts)
-    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
@@ -132,9 +114,6 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     }
     fn schedule(&self, dag: &Dag, sys: &System) -> Schedule {
         (**self).schedule(dag, sys)
-    }
-    fn schedule_many(&self, insts: &[ProblemInstance]) -> Vec<Schedule> {
-        (**self).schedule_many(insts)
     }
 }
 

@@ -1,13 +1,17 @@
 //! Deterministic intra-algorithm parallelism for candidate search.
 //!
-//! The search-based schedulers (GA, ILS-D, DUP-HEFT, BNB) evaluate many
-//! *independent* candidates per decision round: chromosomes of a
-//! generation, duplication trials per candidate processor, branch-and-bound
-//! subtrees. This module fans those evaluations out over scoped worker
-//! threads while keeping every schedule **bit-identical to the
-//! single-thread run at any thread count** — the same contract the
-//! optimized EFT engine ([`crate::engine`]) and the shared
-//! [`crate::instance::ProblemInstance`] already honour.
+//! Two search schedulers evaluate many *independent* candidates per
+//! decision round: GA the chromosomes of a generation, BNB the
+//! branch-and-bound subtrees of a round. [`par_map_collect`] fans those
+//! evaluations out over scoped worker threads while keeping every schedule
+//! **bit-identical to the single-thread run at any thread count** — the
+//! same contract the optimized EFT engine ([`crate::engine`]) and the
+//! shared [`crate::instance::ProblemInstance`] already honour.
+//!
+//! The duplication schedulers (ILS-D, DUP-HEFT) stay on the calling
+//! thread: each task's 3–9 candidate probes run in place under the
+//! schedule's trial log and cost a few microseconds in all, less than
+//! handing them to another thread (measured in DESIGN.md §9).
 //!
 //! Determinism is by construction, not by luck:
 //!
@@ -31,7 +35,6 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
 
 use crossbeam::channel;
 
@@ -184,166 +187,6 @@ where
         .collect()
 }
 
-/// [`par_map_collect`] followed by the caller's sequential reduction:
-/// fold results in submission order, replacing the incumbent exactly when
-/// `better(new, current)` — the caller passes its sequential tie-break
-/// expression verbatim, so the winner is bit-identical to the
-/// single-thread fold at any thread count.
-pub fn par_map_min<T, R>(
-    jobs: usize,
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-    better: impl Fn(&R, &R) -> bool,
-) -> Option<R>
-where
-    T: Sync,
-    R: Send,
-{
-    let mut best: Option<R> = None;
-    for r in par_map_collect(jobs, items, f) {
-        let replace = match &best {
-            None => true,
-            Some(b) => better(&r, b),
-        };
-        if replace {
-            best = Some(r);
-        }
-    }
-    best
-}
-
-/// Per-worker message of a [`scoped_replay_pool`].
-enum WorkerMsg<B, T> {
-    /// One evaluation round: apply `broadcast` to the replica first, then
-    /// evaluate the (index-tagged) items.
-    Round {
-        broadcast: Option<B>,
-        items: Vec<(usize, T)>,
-    },
-    /// Shut the worker down.
-    Done,
-}
-
-/// Round handle passed to a [`scoped_replay_pool`] driver.
-pub struct Rounds<B, T, R> {
-    txs: Vec<channel::Sender<WorkerMsg<B, T>>>,
-    results: channel::Receiver<(usize, R)>,
-}
-
-impl<B: Send + Clone, T: Send, R: Send> Rounds<B, T, R> {
-    /// Run one round: every worker first applies `broadcast` to its
-    /// replica (commit replay), then the items are distributed round-robin
-    /// and evaluated; results come back in submission order.
-    pub fn round(&mut self, broadcast: Option<&B>, items: Vec<T>) -> Vec<R> {
-        let n = items.len();
-        let jobs = self.txs.len();
-        let mut per: Vec<Vec<(usize, T)>> = (0..jobs).map(|_| Vec::new()).collect();
-        for (i, it) in items.into_iter().enumerate() {
-            per[i % jobs].push((i, it));
-        }
-        for (w, tx) in self.txs.iter().enumerate() {
-            tx.send(WorkerMsg::Round {
-                broadcast: broadcast.cloned(),
-                items: std::mem::take(&mut per[w]),
-            })
-            .expect("pool worker hung up");
-        }
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, r) = self
-                .results
-                .recv_timeout(Duration::from_secs(300))
-                .expect("pool worker failed to answer");
-            out[i] = Some(r);
-        }
-        out.into_iter()
-            .map(|r| r.expect("every index was answered"))
-            .collect()
-    }
-}
-
-/// Persistent scoped worker pool with **replicated state** — the engine
-/// behind the parallel trial loops of ILS-D and DUP-HEFT.
-///
-/// Those schedulers interleave *mutation* (committing the chosen placement
-/// of task *k*) with *fan-out* (trial-evaluating the candidates of task
-/// *k + 1* against the committed state). Cloning the schedule per round
-/// would drown the win, so instead each worker owns a replica built by
-/// `init` and kept in lockstep by replaying every committed decision (the
-/// `broadcast` of the next round) through `apply` — the same deterministic
-/// operation the driver applies to its own authoritative copy, so replicas
-/// are bit-identical to it by induction.
-///
-/// `eval` must leave the replica exactly as it found it (the schedule
-/// trial API — [`crate::Schedule::begin_trial`] /
-/// [`crate::Schedule::rollback_trial`] — exists for this), because the
-/// same replica serves every later round.
-///
-/// Requires `jobs >= 2`; with one job callers should run their plain
-/// sequential loop instead (no replicas at all). Workers inherit the
-/// caller's reference-engine flag.
-pub fn scoped_replay_pool<S, B, T, R, Out>(
-    jobs: usize,
-    init: impl Fn() -> S + Sync,
-    apply: impl Fn(&mut S, &B) + Sync,
-    eval: impl Fn(&mut S, &T) -> R + Sync,
-    driver: impl FnOnce(&mut Rounds<B, T, R>) -> Out,
-) -> Out
-where
-    B: Send + Clone,
-    T: Send,
-    R: Send,
-{
-    assert!(jobs >= 2, "a replay pool needs at least two workers");
-    let reference = reference_engine_active();
-    std::thread::scope(|scope| {
-        let (res_tx, res_rx) = channel::unbounded::<(usize, R)>();
-        let mut txs = Vec::with_capacity(jobs);
-        for _ in 0..jobs {
-            let (tx, rx) = channel::unbounded::<WorkerMsg<B, T>>();
-            txs.push(tx);
-            let res_tx = res_tx.clone();
-            let (init, apply, eval) = (&init, &apply, &eval);
-            scope.spawn(move || {
-                let body = || {
-                    let mut state = init();
-                    while let Ok(msg) = rx.recv() {
-                        match msg {
-                            WorkerMsg::Round { broadcast, items } => {
-                                if let Some(b) = &broadcast {
-                                    apply(&mut state, b);
-                                }
-                                for (i, it) in items {
-                                    let r = eval(&mut state, &it);
-                                    if res_tx.send((i, r)).is_err() {
-                                        return;
-                                    }
-                                }
-                            }
-                            WorkerMsg::Done => return,
-                        }
-                    }
-                };
-                if reference {
-                    with_reference_engine(body)
-                } else {
-                    body()
-                }
-            });
-        }
-        drop(res_tx);
-        let mut rounds = Rounds {
-            txs,
-            results: res_rx,
-        };
-        let out = driver(&mut rounds);
-        for tx in &rounds.txs {
-            let _ = tx.send(WorkerMsg::Done);
-        }
-        out
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,21 +205,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map_collect(8, &empty, |_| unreachable!() as u32).is_empty());
         assert_eq!(par_map_collect(8, &[7u32], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn par_map_min_matches_sequential_fold_with_ties() {
-        // values with exact ties: the fold must keep the FIRST minimum,
-        // like a sequential `better = new < current` scan.
-        let items = [5u64, 3, 9, 3, 1, 1, 4];
-        for jobs in [1, 2, 4] {
-            let got = par_map_min(jobs, &items, |&x| x, |new, cur| new < cur);
-            assert_eq!(got, Some(1));
-            // tag by index to observe WHICH element won
-            let idx: Vec<(usize, u64)> = items.iter().copied().enumerate().collect();
-            let got = par_map_min(jobs, &idx, |&p| p, |new, cur| new.1 < cur.1);
-            assert_eq!(got, Some((4, 1)), "first of the tied minima must win");
-        }
     }
 
     #[test]
@@ -424,36 +252,5 @@ mod tests {
         with_jobs(2, || assert_eq!(effective_jobs(), 2));
         assert_eq!(effective_jobs(), 7);
         set_global_jobs(None);
-    }
-
-    #[test]
-    fn replay_pool_keeps_replicas_in_lockstep() {
-        // state = running sum; commits add, evals probe (state + item).
-        // Replicas must equal the driver's own fold at every round.
-        let out = scoped_replay_pool(
-            3,
-            || 0i64,
-            |s: &mut i64, b: &i64| *s += b,
-            |s: &mut i64, t: &i64| *s + t,
-            |rounds| {
-                let mut acc = 0i64;
-                let mut seen = Vec::new();
-                let mut commit: Option<i64> = None;
-                for round in 0..10i64 {
-                    if let Some(c) = commit {
-                        acc += c;
-                    }
-                    let items: Vec<i64> = (0..5).map(|i| i * 100 + round).collect();
-                    let results = rounds.round(commit.as_ref(), items.clone());
-                    for (it, r) in items.iter().zip(&results) {
-                        assert_eq!(*r, acc + it);
-                    }
-                    seen.extend(results);
-                    commit = Some(round * 7);
-                }
-                seen
-            },
-        );
-        assert_eq!(out.len(), 50);
     }
 }

@@ -41,7 +41,6 @@
 
 use crate::algorithms::{Heft, Hoft};
 use crate::delta::DirtyInfo;
-use crate::engine::EftContext;
 use crate::instance::ProblemInstance;
 use crate::rank::sort_by_priority_desc;
 use crate::schedule::Schedule;
@@ -279,8 +278,7 @@ impl Hoft {
         let k = split_point(&order_q, &order_p, |t| eft_dirty[t.index()] || row_dirty(t));
 
         match replay_then(inst, parent, &order_q, k, |from, sched| {
-            let mut ctx = EftContext::new(inst.sys());
-            self.place_from(inst, &oft_q, &rank_q, &order_q, from, sched, &mut ctx);
+            self.place_from(inst, &oft_q, &rank_q, &order_q, from, sched);
         }) {
             Some(done) => done,
             None => fresh(),

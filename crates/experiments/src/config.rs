@@ -11,10 +11,10 @@ options:
   --procs <n>        default processor count (default 8)
   --out <dir>        JSON output directory (default results; `--out -` disables)
   --quick            smaller grids for smoke runs
-  --jobs <n>         intra-algorithm search threads (GA, ILS-D, DUP-HEFT,
-                     BNB); schedules are bit-identical at any thread count,
-                     so this never changes results. HETSCHED_JOBS is the
-                     env fallback; default is the machine parallelism
+  --jobs <n>         intra-algorithm search threads (GA, BNB); schedules
+                     are bit-identical at any thread count, so this never
+                     changes results. HETSCHED_JOBS is the env fallback;
+                     default is the machine parallelism
 perf options:
   --bench-out <file> write the perf benchmark JSON to <file>
   --check <file>     compare against a baseline benchmark JSON; exit

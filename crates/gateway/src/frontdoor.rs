@@ -22,7 +22,9 @@
 //!   waits too long. No queue grows without limit, and a request past its
 //!   deadline never occupies a shard slot. Lines are framed by the shared
 //!   [`LineCodec`], whose line cap bounds each read buffer, and every reply
-//!   write gives up after [`WRITE_STALL`] without progress.
+//!   write gives up after [`WRITE_STALL`] without progress. At most
+//!   [`MAX_CONNECTIONS`] sockets are held, lingering ones included; the
+//!   shared [`refuse_over_cap`] answers one more `busy`, as a shard does.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, Read};
@@ -36,7 +38,8 @@ use parking_lot::Mutex;
 
 use hetsched_serve::protocol::{Response, INVALID_UTF8, LINE_TOO_LONG};
 use hetsched_serve::transport::{
-    discard_input, write_line, Line, LineCodec, MAX_LINE_BYTES, OVERLONG_LINGER, WRITE_STALL,
+    discard_input, refuse_over_cap, write_line, Line, LineCodec, MAX_CONNECTIONS, MAX_LINE_BYTES,
+    OVERLONG_LINGER, WRITE_STALL,
 };
 
 use crate::router::Router;
@@ -162,10 +165,10 @@ impl GatewayServer {
     /// [`Router::begin_shutdown`] is called), then drain: every queued
     /// and in-flight request is answered before the loop returns.
     pub fn run(self) -> io::Result<()> {
-        self.run_with(WRITE_STALL)
+        self.run_with(MAX_CONNECTIONS, WRITE_STALL)
     }
 
-    fn run_with(self, write_stall: Duration) -> io::Result<()> {
+    fn run_with(self, max_connections: usize, write_stall: Duration) -> io::Result<()> {
         let config = self.router.config().clone();
         let (jobs_tx, jobs_rx) = bounded::<DispatchJob>(config.queue_capacity.max(1));
         let (done_tx, done_rx) = unbounded::<Done>();
@@ -193,10 +196,14 @@ impl GatewayServer {
                 loop {
                     match self.listener.accept() {
                         Ok((stream, _peer)) => {
+                            progressed = true;
+                            let open = conns.len() + lingering.len();
+                            if refuse_over_cap(&stream, open, max_connections, write_stall) {
+                                continue;
+                            }
                             if let Ok(conn) = ClientConn::new(stream) {
                                 conns.insert(next_id, conn);
                                 next_id += 1;
-                                progressed = true;
                             }
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -515,7 +522,7 @@ mod tests {
         let server = GatewayServer::bind("127.0.0.1:0", config).unwrap();
         let (addr, router) = (server.local_addr().unwrap(), server.router());
         let stall = Duration::from_millis(300);
-        let gateway = thread::spawn(move || server.run_with(stall));
+        let gateway = thread::spawn(move || server.run_with(MAX_CONNECTIONS, stall));
         let mut probe = BufReader::new(TcpStream::connect(addr).unwrap());
         let mut roundtrip = |line: &[u8]| {
             probe.get_mut().write_all(line).unwrap();
@@ -540,5 +547,62 @@ mod tests {
             .expect("run() returns once the stalled write gives up");
         ran.unwrap();
         drop(client);
+    }
+
+    /// Every line the gateway sends on `stream` until it closes it; a
+    /// read timeout fails the test instead of hanging it.
+    fn read_to_eof(stream: &TcpStream) -> Vec<String> {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        BufReader::new(stream)
+            .lines()
+            .map(|l| l.expect("a reply or EOF within 10 s"))
+            .collect()
+    }
+
+    fn status(line: &str) -> String {
+        let v: serde_json::Value = serde_json::from_str(line).unwrap();
+        v["status"].as_str().unwrap_or_default().to_string()
+    }
+
+    /// At the cap a new connection gets one `busy` line, then EOF; once
+    /// an admitted connection closes, the next one is served.
+    #[test]
+    fn connections_over_the_cap_are_refused_busy() {
+        let config = GatewayConfig {
+            backends: vec!["127.0.0.1:1".to_string()],
+            ..GatewayConfig::default()
+        };
+        let server = GatewayServer::bind("127.0.0.1:0", config).unwrap();
+        let (addr, router) = (server.local_addr().unwrap(), server.router());
+        let gateway = thread::spawn(move || server.run_with(2, WRITE_STALL));
+        // `hello` is answered by the gateway itself: no shard is needed
+        let served = || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            stream.write_all(b"{\"op\":\"hello\"}\n").unwrap();
+            let mut reply = String::new();
+            BufReader::new(&stream).read_line(&mut reply).unwrap();
+            assert_eq!(status(&reply), "ok", "{reply}");
+            stream
+        };
+        let (first, _second) = (served(), served());
+
+        let refused = TcpStream::connect(addr).unwrap();
+        let replies = read_to_eof(&refused);
+        assert_eq!(replies.len(), 1, "{replies:?}");
+        assert_eq!(status(&replies[0]), "busy", "{replies:?}");
+
+        // Once the gateway has closed the first connection, its slot is
+        // free again.
+        first.shutdown(Shutdown::Write).unwrap();
+        assert!(read_to_eof(&first).is_empty());
+        served();
+
+        router.begin_shutdown();
+        gateway.join().unwrap().unwrap();
     }
 }

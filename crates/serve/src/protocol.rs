@@ -41,12 +41,12 @@ pub struct RequestOptions {
     /// key, so traced and untraced requests memoize separately.
     #[serde(default)]
     pub trace: bool,
-    /// Intra-algorithm search threads for this request (GA, ILS-D,
-    /// DUP-HEFT, BNB candidate evaluation), capped by the service's worker
-    /// pool size. Schedules are bit-identical at any thread count, so like
-    /// `deadline_ms` this is not part of the cache key. Falls back to the
-    /// daemon's environment (`HETSCHED_JOBS`, then available parallelism)
-    /// when absent.
+    /// Intra-algorithm search threads for this request (GA and BNB
+    /// candidate evaluation; the other algorithms run on one thread),
+    /// capped by the service's worker pool size. Schedules are
+    /// bit-identical at any thread count, so like `deadline_ms` this is
+    /// not part of the cache key. Falls back to the daemon's environment
+    /// (`HETSCHED_JOBS`, then available parallelism) when absent.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub jobs: Option<usize>,
     /// Distributed trace context. When present, every tier the request
@@ -139,9 +139,8 @@ pub enum Request {
     /// schedule body **per instance, in request order** — each body
     /// exactly what a standalone `schedule` request for that instance
     /// would have produced (the reply memo is consulted per instance, so a
-    /// batch can mix cache hits and fresh computations). This is the wire
-    /// face of `Scheduler::schedule_many`: high-QPS streams of small DAGs
-    /// pay one request round trip and one batched compute instead of N.
+    /// batch can mix cache hits and fresh computations). High-QPS streams
+    /// of small DAGs pay one request round trip instead of N.
     ScheduleMany {
         /// The batch, in reply order.
         instances: Vec<InstanceSpec>,

@@ -600,15 +600,17 @@ impl Service {
     /// and its memoized rank vectors.
     fn instance_for(&self, dag: Dag, sys: System) -> Arc<ProblemInstance<'static>> {
         let m = &self.shared.metrics;
-        let key = ProblemInstance::content_fingerprint(&dag, &sys);
-        if let Some(inst) = self.shared.instances.lock().get(key) {
+        // Build first: construction clones nothing (it takes the arenas by
+        // value), and the key computed through the instance stays cached
+        // in it for the reply's `problem` field. Hash outside the lock:
+        // folding a large DAG under it would stall concurrent lookups.
+        let inst = ProblemInstance::new(dag, sys);
+        let key = inst.fingerprint();
+        if let Some(hit) = self.shared.instances.lock().get(key) {
             ServiceMetrics::bump(&m.instance_cache_hits);
-            return inst.clone();
+            return hit.clone();
         }
-        // Build outside the lock: construction clones nothing (it takes
-        // the arenas by value) but hashing large DAGs under the lock would
-        // stall concurrent lookups.
-        let inst = Arc::new(ProblemInstance::new(dag, sys));
+        let inst = Arc::new(inst);
         ServiceMetrics::bump(&m.instance_cache_misses);
         let evicted = self.shared.instances.lock().insert(key, inst.clone());
         self.shared.note_eviction(evicted);

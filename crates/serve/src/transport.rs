@@ -1,5 +1,6 @@
-//! Transport layer: the TCP accept loop, the stdin runner, and the NDJSON
-//! codec every socket and pipe of both tiers frames its lines with.
+//! Transport layer: the TCP accept loop, the stdin runner, the NDJSON
+//! codec every socket and pipe of both tiers frames its lines with, and
+//! the connection cap both TCP tiers admit clients under.
 //!
 //! Both transports speak the same NDJSON protocol and share one
 //! [`Service`]. The TCP listener blocks in `accept`, and
@@ -39,13 +40,32 @@ struct Limits {
     write_stall: Duration,
 }
 
-/// The limits [`TcpServer::run`] serves under. 256 connections is far
+/// Connections a TCP tier serves at once, a shard and the gateway front
+/// door alike; [`refuse_over_cap`] answers one more `busy`. 256 is far
 /// above what this repository's clients open: the gateway pools at most
 /// `router_threads` (8 by default) per shard, and `load` opens 4.
+pub const MAX_CONNECTIONS: usize = 256;
+
+/// The limits [`TcpServer::run`] serves under.
 const LIMITS: Limits = Limits {
-    connections: 256,
+    connections: MAX_CONNECTIONS,
     write_stall: WRITE_STALL,
 };
+
+/// Admission of a connection just accepted by a tier that holds `open`
+/// connections under a cap of `cap`: at the cap, answer it one `busy`
+/// line and return true, and the caller drops (closes) it.
+pub fn refuse_over_cap(stream: &TcpStream, open: usize, cap: usize, write_stall: Duration) -> bool {
+    if open < cap {
+        return false;
+    }
+    refuse(
+        stream,
+        &format!("connection limit of {cap} reached"),
+        write_stall,
+    );
+    true
+}
 
 /// A TCP daemon bound to an address, ready to [`run`](TcpServer::run).
 pub struct TcpServer {
@@ -109,9 +129,12 @@ impl TcpServer {
                 break; // the wake-up connect
             }
             reap_finished(&mut connections, metrics);
-            if connections.len() >= limits.connections {
-                let why = format!("connection limit of {} reached", limits.connections);
-                refuse(&stream, &why, limits.write_stall);
+            if refuse_over_cap(
+                &stream,
+                connections.len(),
+                limits.connections,
+                limits.write_stall,
+            ) {
                 continue;
             }
             // A failed spawn drops its closure, and the stream with it.

@@ -89,70 +89,10 @@ fn optimized_engine_schedules_byte_identical_to_reference_across_grid() {
     }
 }
 
-/// Batched scheduling is exactly the sequential loop, bit for bit: for
-/// every registered heterogeneous algorithm — the EFT-family
-/// `schedule_many` overrides that share one scratch context across the
-/// batch, and the default per-instance loop alike — a mixed-workload
-/// batch matches per-instance `schedule_instance` calls at batch sizes
-/// 1, 4, and 16.
-#[test]
-fn schedule_many_is_bit_identical_to_sequential_at_every_batch_size() {
-    use hetsched::core::ProblemInstance;
-    use hetsched::workloads::{fft, gauss, laplace};
-
-    // A mixed pool the batches cycle through. Varying processor counts
-    // within one batch exercise the shared context's `reset_for` path.
-    let mut pool: Vec<ProblemInstance> = Vec::new();
-    for (i, (n, ccr)) in [(12usize, 0.5), (25, 5.0), (18, 1.0)].iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(291 + i as u64);
-        let dag = random_dag(&RandomDagParams::new(*n, 1.0, *ccr), &mut rng);
-        let sys = System::heterogeneous_random(&dag, 4, &EtcParams::range_based(1.0), &mut rng);
-        pool.push(ProblemInstance::new(dag, sys));
-    }
-    let mut rng = StdRng::seed_from_u64(294);
-    let dag = gauss::gaussian_elimination(5, 1.0, &mut rng);
-    let sys = System::heterogeneous_random(&dag, 3, &EtcParams::range_based(1.0), &mut rng);
-    pool.push(ProblemInstance::new(dag, sys));
-    let mut rng = StdRng::seed_from_u64(295);
-    let dag = fft::fft_butterfly(8, 2.0, &mut rng);
-    let sys = System::heterogeneous_random(&dag, 5, &EtcParams::range_based(0.5), &mut rng);
-    pool.push(ProblemInstance::new(dag, sys));
-    let mut rng = StdRng::seed_from_u64(296);
-    let dag = laplace::laplace_wavefront(4, 1.0, &mut rng);
-    let sys = System::heterogeneous_random(&dag, 4, &EtcParams::range_based(1.0), &mut rng);
-    pool.push(ProblemInstance::new(dag, sys));
-    let mut rng = StdRng::seed_from_u64(297);
-    let dag = random_dag(&RandomDagParams::new(20, 1.0, 1.0), &mut rng);
-    let sys = System::homogeneous_unit(&dag, 4);
-    pool.push(ProblemInstance::new(dag, sys));
-
-    for &batch in &[1usize, 4, 16] {
-        let insts: Vec<ProblemInstance> = (0..batch)
-            .map(|i| {
-                let src = &pool[i % pool.len()];
-                ProblemInstance::new(src.dag().clone(), src.sys().clone())
-            })
-            .collect();
-        for alg in all_heterogeneous() {
-            let batched = alg.schedule_many(&insts);
-            assert_eq!(batched.len(), insts.len(), "{}", alg.name());
-            for (k, (got, inst)) in batched.iter().zip(&insts).enumerate() {
-                let want = alg.schedule_instance(inst);
-                assert_eq!(
-                    slot_digest(got),
-                    slot_digest(&want),
-                    "{} batch={batch} member {k} diverged from sequential",
-                    alg.name()
-                );
-                assert_eq!(got.makespan().to_bits(), want.makespan().to_bits());
-                assert_eq!(validate(inst.dag(), inst.sys(), got), Ok(()));
-            }
-        }
-    }
-}
-
-/// Search schedulers parallelized in the `par` layer, in cheap test
-/// configurations. The boxed trait objects let one grid drive all four.
+/// The search schedulers, in cheap test configurations: GA and BNB fan
+/// out over the `par` layer, and ILS-D and DUP-HEFT run one in-place loop
+/// whatever `jobs` says. The boxed trait objects let one grid drive all
+/// four.
 fn parallel_search_schedulers() -> Vec<Box<dyn hetsched::core::Scheduler + Send + Sync>> {
     use hetsched::core::algorithms::{BranchAndBound, DupHeft, Genetic, IlsD};
     vec![
@@ -168,8 +108,8 @@ fn parallel_search_schedulers() -> Vec<Box<dyn hetsched::core::Scheduler + Send 
     ]
 }
 
-/// Determinism grid for the parallel search layer: every parallelized
-/// algorithm (GA, ILS-D, DUP-HEFT, BNB) on every workload class must
+/// Determinism grid for the parallel search layer: every search
+/// scheduler (GA, ILS-D, DUP-HEFT, BNB) on every workload class must
 /// produce bit-identical slot digests at jobs = 1, 2, and 8. This is the
 /// contract that lets `--jobs`, `HETSCHED_JOBS`, and the serve `jobs`
 /// option stay out of every cache key.
@@ -349,7 +289,7 @@ proptest! {
     }
 
     /// Randomized thread-count invariance: on arbitrary instances, every
-    /// parallelized search scheduler produces the same bits at jobs = 1
+    /// search scheduler produces the same bits at jobs = 1
     /// and at an arbitrary jobs in 2..=8.
     #[test]
     fn parallel_search_thread_count_invariance(

@@ -1,10 +1,11 @@
 //! Integration tests for the scale-out front door: a real gateway + shard
 //! topology over TCP, covering byte-identity with direct library calls,
 //! single-flight dedup, mixed unique/duplicate interleaving, graceful
-//! degradation when a shard dies mid-traffic, and patch-parent recovery
-//! after a shard evicts the parent.
+//! degradation when a shard dies mid-traffic, patch-parent recovery
+//! after a shard evicts the parent, and a byte-at-a-time client against
+//! either tier.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -17,7 +18,7 @@ use hetsched::dag::io::DagSpec;
 use hetsched::platform::SystemSpec;
 use hetsched::workloads::gauss::gaussian_elimination;
 use hetsched_gateway::{GatewayConfig, GatewayServer, LocalShards};
-use hetsched_serve::ServeConfig;
+use hetsched_serve::{ServeConfig, TcpServer};
 
 const SYSTEM_JSON: &str = r#"{"processors": {"kind": "speeds", "speeds": [2.0, 1.0, 1.5]},
     "network": {"topology": "fully_connected", "startup": 0.5, "bandwidth": 1.0}}"#;
@@ -85,6 +86,17 @@ fn schedule_request(m: usize, algorithm: &str, options: &str) -> String {
     )
 }
 
+/// Ground truth, straight from the library: the schedule `algorithm`
+/// makes of [`schedule_request`]'s problem, as a reply carries it.
+fn direct_schedule(m: usize, algorithm: &str) -> serde_json::Value {
+    let dag_spec: DagSpec = serde_json::from_value(dag_json(m)).unwrap();
+    let dag = dag_spec.build().unwrap();
+    let sys_spec: SystemSpec = serde_json::from_str(SYSTEM_JSON).unwrap();
+    let sys = sys_spec.build(&dag).unwrap();
+    let direct = algorithms::by_name(algorithm).unwrap().schedule(&dag, &sys);
+    serde_json::to_value(&direct).unwrap()
+}
+
 struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
@@ -144,14 +156,7 @@ fn gateway_replies_match_direct_library_call() {
         "{hello:?}"
     );
 
-    // Ground truth, straight from the library.
-    let dag_spec: DagSpec = serde_json::from_value(dag_json(6)).unwrap();
-    let dag = dag_spec.build().unwrap();
-    let sys_spec: SystemSpec = serde_json::from_str(SYSTEM_JSON).unwrap();
-    let sys = sys_spec.build(&dag).unwrap();
-    let direct = algorithms::by_name("HEFT").unwrap().schedule(&dag, &sys);
-    let direct_value = serde_json::to_value(&direct).unwrap();
-
+    let direct_value = direct_schedule(6, "HEFT");
     let reply = client.roundtrip(&schedule_request(6, "HEFT", "{}"));
     assert_eq!(reply["status"].as_str(), Some("ok"), "{reply:?}");
     assert_eq!(
@@ -627,4 +632,125 @@ fn a_shard_reply_over_the_line_cap_is_forwarded() {
     let bye = c.roundtrip(r#"{"op":"shutdown"}"#);
     assert_eq!(bye["status"].as_str(), Some("shutting_down"), "{bye:?}");
     gateway.join().unwrap().unwrap();
+}
+
+/// Pause between the single-byte writes of a slowloris client: a few ms,
+/// so a `schedule` line takes about a second to arrive.
+const BYTE_GAP: Duration = Duration::from_millis(3);
+
+/// Longest round trip a second client may see while the slowloris
+/// trickles: a tier wedged by the trickle would take about a second.
+const ROUND_TRIP_BOUND: Duration = Duration::from_millis(500);
+
+/// Longest a tier may take to drain and return after a `shutdown`.
+const JOIN_BOUND: Duration = Duration::from_secs(5);
+
+/// Connect to `addr` and write `line` one byte per write, [`BYTE_GAP`]
+/// apart, stopping early if the peer closes. `started` fires after the
+/// first byte. Returns the stream.
+fn trickle(
+    addr: std::net::SocketAddr,
+    line: String,
+    started: std::sync::mpsc::Sender<()>,
+) -> std::thread::JoinHandle<TcpStream> {
+    std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        for (i, byte) in line.bytes().enumerate() {
+            if stream.write_all(&[byte]).is_err() {
+                break;
+            }
+            if i == 0 {
+                started.send(()).unwrap();
+            }
+            std::thread::sleep(BYTE_GAP);
+        }
+        stream
+    })
+}
+
+/// The slowloris guard for the tier at `addr`, whose `run` thread `join`
+/// waits for:
+/// - a client that sends a `schedule` line one byte per write gets
+///   nothing before its newline and exactly its own reply after it;
+/// - a second client is answered within [`ROUND_TRIP_BOUND`] throughout;
+/// - a `shutdown` sent mid-trickle lets `join` return within
+///   [`JOIN_BOUND`].
+fn slowloris_guard(addr: std::net::SocketAddr, join: impl FnOnce() + Send + 'static) {
+    let line = schedule_request(3, "HEFT", "{}");
+    let mut fast = Client::connect(addr);
+
+    let (started, first_byte) = std::sync::mpsc::channel();
+    let slow = trickle(addr, line.clone(), started);
+    first_byte.recv().unwrap();
+    let mut rounds = 0;
+    while !slow.is_finished() {
+        let sent = Instant::now();
+        let hello = fast.roundtrip(r#"{"op":"hello"}"#);
+        assert_eq!(hello["status"].as_str(), Some("ok"), "{hello:?}");
+        let took = sent.elapsed();
+        assert!(took < ROUND_TRIP_BOUND, "round trip {rounds} took {took:?}");
+        rounds += 1;
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(rounds >= 5, "only {rounds} round trips during the trickle");
+    let mut slow = slow.join().unwrap();
+    slow.set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    let early = slow.peek(&mut [0u8]);
+    assert!(
+        early
+            .as_ref()
+            .is_err_and(|e| matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)),
+        "the tier answered before the newline: {early:?}"
+    );
+    slow.write_all(b"\n").unwrap();
+    slow.shutdown(Shutdown::Write).unwrap();
+    slow.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let replies = read_to_eof(&mut BufReader::new(slow));
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    assert_eq!(replies[0]["status"].as_str(), Some("ok"), "{replies:?}");
+    assert_eq!(
+        replies[0]["schedule"]["schedule"],
+        direct_schedule(3, "HEFT")
+    );
+
+    let (started, first_byte) = std::sync::mpsc::channel();
+    let slow = trickle(addr, line, started);
+    first_byte.recv().unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(!slow.is_finished(), "the trickle ended before the shutdown");
+    let bye = fast.roundtrip(r#"{"op":"shutdown"}"#);
+    assert_eq!(bye["status"].as_str(), Some("shutting_down"), "{bye:?}");
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        join();
+        done.send(()).unwrap();
+    });
+    joined
+        .recv_timeout(JOIN_BOUND)
+        .expect("the tier drains while a client trickles");
+    slow.join().unwrap();
+}
+
+/// [`slowloris_guard`] against a shard on its own.
+#[test]
+fn a_byte_at_a_time_client_wedges_neither_a_shard_nor_its_shutdown() {
+    let server = TcpServer::bind("127.0.0.1:0", shard_config()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let daemon = std::thread::spawn(move || server.run());
+    slowloris_guard(addr, move || daemon.join().unwrap().unwrap());
+}
+
+/// [`slowloris_guard`] against the gateway front door, one shard behind.
+#[test]
+fn a_byte_at_a_time_client_wedges_neither_the_gateway_nor_its_shutdown() {
+    let Topology {
+        shards,
+        gateway,
+        addr,
+    } = spawn_topology(1);
+    slowloris_guard(addr, move || gateway.join().unwrap().unwrap());
+    drop(shards);
 }

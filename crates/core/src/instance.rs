@@ -67,19 +67,15 @@ fn lookup<T>(slot: &[(CostAggregation, Arc<T>)], agg: CostAggregation) -> Option
 pub struct ProblemInstance<'a> {
     dag: Cow<'a, Dag>,
     sys: Cow<'a, System>,
-    fingerprint: OnceLock<u64>,
+    /// See [`ProblemInstance::content_fold`].
+    fold: OnceLock<Fingerprint>,
     memo: Mutex<RankMemo>,
 }
 
 impl ProblemInstance<'static> {
     /// Build an instance, taking ownership of the arenas.
     pub fn new(dag: Dag, sys: System) -> Self {
-        ProblemInstance {
-            dag: Cow::Owned(dag),
-            sys: Cow::Owned(sys),
-            fingerprint: OnceLock::new(),
-            memo: Mutex::new(RankMemo::default()),
-        }
+        ProblemInstance::from_cows(Cow::Owned(dag), Cow::Owned(sys))
     }
 }
 
@@ -89,38 +85,32 @@ impl<'a> ProblemInstance<'a> {
     /// single-shot `schedule(dag, sys)` path as fast as before the IR
     /// existed.
     pub fn from_refs(dag: &'a Dag, sys: &'a System) -> Self {
-        ProblemInstance {
-            dag: Cow::Borrowed(dag),
-            sys: Cow::Borrowed(sys),
-            fingerprint: OnceLock::new(),
-            memo: Mutex::new(RankMemo::default()),
-        }
+        ProblemInstance::from_cows(Cow::Borrowed(dag), Cow::Borrowed(sys))
     }
 
-    /// Build an instance from pre-assembled `Cow`s — the copy-on-write
-    /// path of [`ProblemInstance::apply_deltas`](crate::delta), where
-    /// untouched arenas stay borrowed from the parent and only the
-    /// modified side is owned. Fingerprint and memo start empty: the
-    /// fingerprint is recomputed lazily from the (patched) content, and the
-    /// memo is seeded explicitly by [`ProblemInstance::seed_memo_from`].
+    /// Build an instance from `Cow`s: every constructor does, and the
+    /// copy-on-write path of [`ProblemInstance::apply_deltas`](crate::delta)
+    /// keeps untouched arenas borrowed from the parent. Fold and memo
+    /// start empty; a patch seeds the memo by
+    /// [`ProblemInstance::seed_memo_from`].
     pub(crate) fn from_cows(dag: Cow<'a, Dag>, sys: Cow<'a, System>) -> Self {
         ProblemInstance {
             dag,
             sys,
-            fingerprint: OnceLock::new(),
+            fold: OnceLock::new(),
             memo: Mutex::new(RankMemo::default()),
         }
     }
 
     /// Convert into an owning (`'static`) instance, cloning any
-    /// still-borrowed arena and carrying the fingerprint cache and the
-    /// rank memo over untouched — what the serve instance cache needs to
-    /// store a patched instance whose memos were seeded from its parent.
+    /// still-borrowed arena and carrying the content fold and the rank
+    /// memo over untouched — what the serve instance cache needs to store
+    /// a patched instance whose memos were seeded from its parent.
     pub fn into_owned(self) -> ProblemInstance<'static> {
         ProblemInstance {
             dag: Cow::Owned(self.dag.into_owned()),
             sys: Cow::Owned(self.sys.into_owned()),
-            fingerprint: self.fingerprint,
+            fold: self.fold,
             memo: self.memo,
         }
     }
@@ -138,22 +128,30 @@ impl<'a> ProblemInstance<'a> {
     }
 
     /// Stable content fingerprint of the (DAG, system) pair — the key the
-    /// serve instance cache uses. Computed on first query and cached.
+    /// serve instance cache uses: [`ProblemInstance::content_fold`],
+    /// finished.
     #[inline]
     pub fn fingerprint(&self) -> u64 {
-        *self
-            .fingerprint
-            .get_or_init(|| Self::content_fingerprint(&self.dag, &self.sys))
+        self.content_fold().finish()
+    }
+
+    /// The content fold behind [`ProblemInstance::fingerprint`], before
+    /// its finalizer. Computed on first query and cached, so a key that
+    /// extends the problem's content (a request's algorithm and options)
+    /// continues a clone of it instead of folding the content again.
+    pub fn content_fold(&self) -> &Fingerprint {
+        self.fold.get_or_init(|| {
+            let mut fp = Fingerprint::new();
+            self.dag.fold_fingerprint(&mut fp);
+            self.sys.fold_fingerprint(&mut fp);
+            fp
+        })
     }
 
     /// The fingerprint [`ProblemInstance::fingerprint`] would report for
-    /// `(dag, sys)`, without building an instance. Lets a cache decide
-    /// hit-or-miss before building and storing anything.
+    /// `(dag, sys)`, without building an owning instance.
     pub fn content_fingerprint(dag: &Dag, sys: &System) -> u64 {
-        let mut fp = Fingerprint::new();
-        dag.fold_fingerprint(&mut fp);
-        sys.fold_fingerprint(&mut fp);
-        fp.finish()
+        ProblemInstance::from_refs(dag, sys).fingerprint()
     }
 
     fn memo(&self) -> MutexGuard<'_, RankMemo> {

@@ -9,8 +9,15 @@
 //! options), which must be identical across processes and restarts.
 //!
 //! The mixing function is FNV-1a (64-bit) with an avalanche finalizer.
-//! Collisions are possible in principle (it is a 64-bit digest, not a
-//! cryptographic hash) but irrelevant at cache scale; the protocol
+//! Collisions are possible (it is a 64-bit digest, not a cryptographic
+//! hash). Between accidental inputs they are negligible at cache scale,
+//! but FNV-1a is unkeyed and each of its byte steps can be inverted, so a
+//! client that controls some input bytes can aim at a chosen digest.
+//! These caches answer on digest equality alone, comparing no content: a
+//! shard's instance cache and reply memo and the in-batch dedup of
+//! `schedule_many`, and the gateway's single-flight table, all keyed by
+//! folds of this hasher, plus the gateway's wire cache, keyed by an
+//! FNV-1a fold of the request line (`hetsched_serve::wire`). The protocol
 //! length-prefixes variable-length data and domain-tags each logical
 //! section, so distinct well-formed streams do not trivially collide by
 //! concatenation ambiguity.

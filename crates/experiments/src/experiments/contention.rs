@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use hetsched_core::algorithms::{all_heterogeneous, CaHeft};
+use hetsched_core::par::{available_jobs, par_map_collect};
 use hetsched_metrics::table::TextTable;
 use hetsched_platform::{EtcParams, System};
 use hetsched_sim::{simulate, simulate_with, CommModel, Scenario, SimConfig};
@@ -14,7 +15,7 @@ use serde_json::json;
 
 use super::Report;
 use crate::config::Config;
-use crate::runner::{instance_seed, parallel_map};
+use crate::runner::instance_seed;
 
 /// tab6: mean makespan inflation (contended / contention-free replay) per
 /// algorithm, for the single-port and shared-bus models, at CCR 1 and 5.
@@ -33,8 +34,8 @@ pub fn contention_table(cfg: &Config) -> Report {
         .enumerate()
         .flat_map(|(ci, _)| (0..cfg.reps as u64).map(move |r| (ci, r)))
         .collect();
-    // per item: inflation[model][alg]
-    let rows: Vec<(usize, Vec<Vec<f64>>)> = parallel_map(work, |&(ci, rep)| {
+    // per item: (ci, inflation[model][alg])
+    let rows = par_map_collect(available_jobs(), &work, |&(ci, rep)| {
         let seed = instance_seed(cfg.seed ^ 0xc027, ci as u64, rep);
         let mut rng = StdRng::seed_from_u64(seed);
         let dag = random_dag(&RandomDagParams::new(n, 1.0, ccrs[ci]), &mut rng);

@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use hetsched_core::algorithms::{all_heterogeneous, BranchAndBound};
+use hetsched_core::par::{available_jobs, par_map_collect};
 use hetsched_metrics::table::TextTable;
 use hetsched_platform::{EtcParams, System};
 use hetsched_workloads::{random_dag, RandomDagParams};
@@ -13,7 +14,7 @@ use serde_json::json;
 
 use super::Report;
 use crate::config::Config;
-use crate::runner::{instance_seed, parallel_map};
+use crate::runner::instance_seed;
 
 /// tab5: mean heuristic/optimal makespan ratio over tiny random instances
 /// (n = 8, 3 processors). Duplication-based schedulers can dip *below*
@@ -29,7 +30,7 @@ pub fn optimality_gap(cfg: &Config) -> Report {
 
     let work: Vec<u64> = (0..reps as u64).collect();
     // per instance: (proven, ratios per alg)
-    let rows: Vec<(bool, Vec<f64>)> = parallel_map(work, |&rep| {
+    let rows: Vec<(bool, Vec<f64>)> = par_map_collect(available_jobs(), &work, |&rep| {
         let seed = instance_seed(cfg.seed ^ 0x9a9, 0, rep);
         let mut rng = StdRng::seed_from_u64(seed);
         let ccr = [0.5, 1.0, 5.0][(rep % 3) as usize];

@@ -48,10 +48,9 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::unbounded;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::Value;
@@ -404,7 +403,7 @@ fn run_step(cfg: &Config, addr: &str, rate: f64, step: usize) -> Result<StepResu
         let reader_stream = stream.try_clone().map_err(|e| e.to_string())?;
         reader_stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
         // send instant + expected batch entry count (0 for non-batch)
-        let (meta_tx, meta_rx) = unbounded::<(Instant, usize)>();
+        let (meta_tx, meta_rx) = mpsc::channel::<(Instant, usize)>();
         // The latest `problem` fingerprint this connection saw in a
         // reply: the reader learns it, the writer patches against it.
         let parent = Arc::new(std::sync::Mutex::new(None::<String>));

@@ -8,6 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use hetsched_core::algorithms::{Genetic, Heft, IlsD, IlsH};
+use hetsched_core::par::{available_jobs, par_map_collect};
 use hetsched_core::Scheduler;
 use hetsched_metrics::slr;
 use hetsched_metrics::table::TextTable;
@@ -17,7 +18,7 @@ use serde_json::json;
 
 use super::Report;
 use crate::config::Config;
-use crate::runner::{instance_seed, parallel_map};
+use crate::runner::instance_seed;
 
 /// tab7: mean SLR and mean scheduling time for GA vs the list schedulers
 /// on random n=40 instances at CCR ∈ {1, 5}.
@@ -33,7 +34,7 @@ pub fn ga_vs_list(cfg: &Config) -> Report {
 
     let work: Vec<u64> = (0..cfg.reps as u64 * 2).collect();
     // per instance: (slr, ms) per algorithm
-    let rows: Vec<Vec<(f64, f64)>> = parallel_map(work, |&rep| {
+    let rows: Vec<Vec<(f64, f64)>> = par_map_collect(available_jobs(), &work, |&rep| {
         let seed = instance_seed(cfg.seed ^ 0x9e4e, 0, rep);
         let mut rng = StdRng::seed_from_u64(seed);
         let ccr = [1.0, 5.0][(rep % 2) as usize];

@@ -5,6 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use hetsched_core::algorithms::all_heterogeneous;
+use hetsched_core::par::{available_jobs, par_map_collect};
 use hetsched_metrics::occupancy::occupancy;
 use hetsched_metrics::table::TextTable;
 use hetsched_platform::{EtcParams, System};
@@ -13,7 +14,7 @@ use serde_json::json;
 
 use super::Report;
 use crate::config::Config;
-use crate::runner::{instance_seed, parallel_map};
+use crate::runner::instance_seed;
 
 /// tab2: occupancy statistics averaged over a random grid (high CCR, where
 /// duplication actually triggers).
@@ -24,7 +25,7 @@ pub fn occupancy_table(cfg: &Config) -> Report {
     let procs = cfg.procs;
 
     let work: Vec<u64> = (0..reps as u64).collect();
-    let rows: Vec<Vec<(f64, f64, f64)>> = parallel_map(work, |&rep| {
+    let rows: Vec<Vec<(f64, f64, f64)>> = par_map_collect(available_jobs(), &work, |&rep| {
         let seed = instance_seed(cfg.seed ^ 0x0cc, 0, rep);
         let mut rng = StdRng::seed_from_u64(seed);
         let dag = random_dag(&RandomDagParams::new(n, 1.0, 5.0), &mut rng);

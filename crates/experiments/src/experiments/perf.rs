@@ -262,16 +262,13 @@ fn serve_entries(cfg: &Config, reps: usize) -> Vec<BenchEntry> {
     }]
 }
 
-/// The wire-path section the raw-byte hot-line cache targets: one warmed
-/// daemon answers the same n = 50 schedule request three ways. The
-/// `memo-hit` entry is the pre-wire round trip — `handle_line` parses the
-/// JSON, hits the result memo, and re-serializes the reply per call. The
-/// `fallback` entry pushes a scanner-declined variant of the same line
-/// (one extra space) through `handle_line_bytes`: full parse, memo hit,
-/// preserialized reply bytes. The `hit` entry is the wire fast path on
-/// the compact line: one digest probe returns the cached reply `Arc`
-/// with no parsing or serialization at all. `run_perf` reports the
-/// memo-hit → wire-hit ratio as the headline wire speedup.
+/// The repeat path of a shard: one warmed daemon answers the same n = 50
+/// schedule request two ways. The `memo-hit` entry is the typed round
+/// trip — `handle_line` parses the JSON, hits the result memo, and
+/// re-serializes the reply per call. The `fallback` entry (named when it
+/// measured the path a wire-cache miss fell back to; the baselines key
+/// it so) is `handle_line_bytes`, the transport's path: full parse, memo
+/// hit, preserialized reply bytes.
 fn wire_entries(cfg: &Config, reps: usize) -> Vec<BenchEntry> {
     let reps = reps.max(15);
     let n = 50usize;
@@ -290,9 +287,6 @@ fn wire_entries(cfg: &Config, reps: usize) -> Vec<BenchEntry> {
         edges.join(","),
         cfg.procs,
     );
-    // one leading space after the opening brace: parses identically, but
-    // the scanner declines it, forcing the full-parse fallback
-    let loose_line = format!(" {line}");
     let svc = Service::start(ServeConfig {
         workers: 1,
         queue_capacity: 4,
@@ -300,9 +294,9 @@ fn wire_entries(cfg: &Config, reps: usize) -> Vec<BenchEntry> {
         instance_cache_capacity: 8,
         default_deadline_ms: 60_000,
     });
-    // warm to the fixed point: first call computes and fills the memo,
-    // second replays the memo and writes the reply through to the wire
-    // cache, so every benched call below is a steady-state repeat
+    // warm to the fixed point: the first call computes and fills the
+    // memo, the second serializes the memo line, so every benched call
+    // below is a steady-state repeat
     let first = svc.handle_line_bytes(&line);
     assert!(
         first.starts_with(b"{\"status\":\"ok\""),
@@ -327,10 +321,6 @@ fn wire_entries(cfg: &Config, reps: usize) -> Vec<BenchEntry> {
         ),
         entry(
             format!("wire/n{n}/fallback"),
-            bench(reps, || svc.handle_line_bytes(&loose_line)),
-        ),
-        entry(
-            format!("wire/n{n}/hit"),
             bench(reps, || svc.handle_line_bytes(&line)),
         ),
     ];
@@ -799,30 +789,6 @@ pub fn run_perf(cfg: &Config) -> Result<(), String> {
             f.min_ns / s.min_ns,
             p.min_ns / 1e6,
             f.min_ns / p.min_ns,
-        );
-    }
-
-    // the wire path: the same warmed repeat answered by full parse +
-    // re-serialization, full parse + preserialized bytes, and the raw-byte
-    // hot-line cache
-    let memo = entries
-        .iter()
-        .find(|e| e.id.starts_with("wire/") && e.id.ends_with("/memo-hit"));
-    let fall = entries
-        .iter()
-        .find(|e| e.id.starts_with("wire/") && e.id.ends_with("/fallback"));
-    let hit = entries.iter().find(|e| {
-        e.id.starts_with("wire/") && e.id.ends_with("/hit") && !e.id.ends_with("memo-hit")
-    });
-    if let (Some(m), Some(f), Some(h)) = (memo, fall, hit) {
-        println!(
-            "wire path: memo-hit round trip {:.1} us, preserialized fallback {:.1} us ({:.2}x), \
-             wire hit {:.1} us ({:.2}x speedup)\n",
-            m.min_ns / 1e3,
-            f.min_ns / 1e3,
-            m.min_ns / f.min_ns,
-            h.min_ns / 1e3,
-            m.min_ns / h.min_ns,
         );
     }
 

@@ -9,6 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hetsched_core::algorithms::all_heterogeneous;
+use hetsched_core::par::{available_jobs, par_map_collect};
 use hetsched_metrics::WtlTable;
 use hetsched_platform::{EtcParams, System};
 use hetsched_workloads::{random_dag, RandomDagParams};
@@ -17,7 +18,7 @@ use serde_json::json;
 use super::sweep::{metric_sweep, Metric, Point};
 use super::Report;
 use crate::config::Config;
-use crate::runner::{instance_seed, parallel_map};
+use crate::runner::instance_seed;
 
 /// Default grids the random figures draw nuisance parameters from.
 const ALPHAS: [f64; 3] = [0.5, 1.0, 2.0];
@@ -168,7 +169,7 @@ pub fn wtl_table(cfg: &Config) -> Report {
         .enumerate()
         .flat_map(|(si, _)| (0..cfg.reps as u64 * 3).map(move |r| (si, r)))
         .collect();
-    let rows: Vec<Vec<f64>> = parallel_map(work.clone(), |&(si, rep)| {
+    let rows: Vec<Vec<f64>> = par_map_collect(available_jobs(), &work, |&(si, rep)| {
         let seed = instance_seed(cfg.seed ^ 0x7ab1, si as u64, rep);
         let (dag, sys) = instance(seed, sizes[si], procs, None, None, None);
         algs.iter()

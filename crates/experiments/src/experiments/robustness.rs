@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use hetsched_core::algorithms::all_heterogeneous;
+use hetsched_core::par::{available_jobs, par_map_collect};
 use hetsched_metrics::table::TextTable;
 use hetsched_platform::{EtcParams, System};
 use hetsched_sim::{simulate, Noise, SimConfig};
@@ -14,7 +15,7 @@ use serde_json::json;
 
 use super::Report;
 use crate::config::Config;
-use crate::runner::{instance_seed, parallel_map};
+use crate::runner::instance_seed;
 
 /// fig11: mean makespan degradation (noisy / noiseless replay) vs the
 /// execution-noise coefficient of variation.
@@ -31,7 +32,7 @@ pub fn degradation_vs_noise(cfg: &Config) -> Report {
 
     let work: Vec<u64> = (0..cfg.reps as u64).collect();
     // per instance: degradation[cv][alg]
-    let per_instance: Vec<Vec<Vec<f64>>> = parallel_map(work, |&rep| {
+    let per_instance: Vec<Vec<Vec<f64>>> = par_map_collect(available_jobs(), &work, |&rep| {
         let seed = instance_seed(cfg.seed ^ 0x0b5, 0, rep);
         let mut rng = StdRng::seed_from_u64(seed);
         let dag = random_dag(&RandomDagParams::new(n, 1.0, 1.0), &mut rng);

@@ -7,6 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use hetsched_core::algorithms::all_heterogeneous;
+use hetsched_core::par::{available_jobs, par_map_collect};
 use hetsched_metrics::table::TextTable;
 use hetsched_platform::{EtcParams, System};
 use hetsched_sim::{simulate, simulate_scenario, SimConfig};
@@ -15,7 +16,7 @@ use serde_json::json;
 
 use super::Report;
 use crate::config::Config;
-use crate::runner::{instance_seed, parallel_map};
+use crate::runner::instance_seed;
 
 /// tab4: mean makespan degradation when processor 0 is secretly 2× slower.
 pub fn slowdown_table(cfg: &Config) -> Report {
@@ -25,7 +26,7 @@ pub fn slowdown_table(cfg: &Config) -> Report {
     let procs = cfg.procs;
 
     let work: Vec<u64> = (0..cfg.reps as u64 * 2).collect();
-    let rows: Vec<Vec<f64>> = parallel_map(work, |&rep| {
+    let rows: Vec<Vec<f64>> = par_map_collect(available_jobs(), &work, |&rep| {
         let seed = instance_seed(cfg.seed ^ 0x510, 0, rep);
         let mut rng = StdRng::seed_from_u64(seed);
         let dag = random_dag(&RandomDagParams::new(n, 1.0, 1.0), &mut rng);

@@ -2,6 +2,7 @@
 //! points, each generating `reps` random instances; every algorithm is run
 //! on every instance and a chosen metric is averaged per (point, algorithm).
 
+use hetsched_core::par::{available_jobs, par_map_collect};
 use hetsched_core::Scheduler;
 use hetsched_dag::Dag;
 use hetsched_metrics::table::TextTable;
@@ -9,7 +10,7 @@ use hetsched_metrics::{slr, speedup};
 use hetsched_platform::System;
 use serde_json::json;
 
-use crate::runner::{instance_seed, parallel_map};
+use crate::runner::instance_seed;
 
 /// Which per-instance metric a sweep averages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +61,7 @@ pub fn metric_sweep(
         .flat_map(|pi| (0..reps as u64).map(move |r| (pi, r)))
         .collect();
     // each item yields one metric value per algorithm
-    let per_instance: Vec<Vec<f64>> = parallel_map(work.clone(), |&(pi, rep)| {
+    let per_instance: Vec<Vec<f64>> = par_map_collect(available_jobs(), &work, |&(pi, rep)| {
         let seed = instance_seed(base_seed, pi as u64, rep);
         let (dag, sys) = (points[pi].gen)(seed);
         algs.iter()

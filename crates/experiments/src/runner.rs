@@ -1,61 +1,7 @@
-//! Parallel sweep runner: fan independent experiment points out over a
-//! thread pool fed by a crossbeam channel. Results are returned in input
-//! order and every point derives its own deterministic seed, so parallel
-//! and serial runs produce identical numbers.
-
-use crossbeam::channel;
-use parking_lot::Mutex;
-
-/// Map `f` over `items` in parallel, preserving order.
-///
-/// Uses one worker per available core (capped by the item count). `f` must
-/// be deterministic per item for reproducibility — the runner guarantees
-/// only ordering, not execution sequence.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n);
-    if workers <= 1 {
-        return items.iter().map(&f).collect();
-    }
-
-    let (tx, rx) = channel::unbounded::<usize>();
-    for i in 0..n {
-        tx.send(i).expect("unbounded channel accepts all items");
-    }
-    drop(tx);
-
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let rx = rx.clone();
-            let results = &results;
-            let f = &f;
-            let items = &items;
-            scope.spawn(move || {
-                while let Ok(i) = rx.recv() {
-                    let r = f(&items[i]);
-                    results.lock()[i] = Some(r);
-                }
-            });
-        }
-    });
-    results
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("every index was processed"))
-        .collect()
-}
+//! Sweep support: every experiment point derives its own deterministic
+//! seed, so points can run in parallel (through
+//! `hetsched_core::par::par_map_collect`, which returns results in input
+//! order) and still produce the numbers a serial run does.
 
 /// Derive a per-instance seed from a base seed and coordinates (SplitMix64
 /// finalizer — decorrelates neighbouring points).
@@ -71,27 +17,6 @@ pub fn instance_seed(base: u64, point: u64, rep: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preserves_order_and_values() {
-        let items: Vec<u64> = (0..1000).collect();
-        let out = parallel_map(items.clone(), |&x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_input() {
-        let out: Vec<u32> = parallel_map(Vec::<u32>::new(), |_| unreachable!());
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn matches_serial_execution() {
-        let items: Vec<u64> = (0..64).collect();
-        let serial: Vec<u64> = items.iter().map(|&x| instance_seed(1, x, 0)).collect();
-        let parallel = parallel_map(items, |&x| instance_seed(1, x, 0));
-        assert_eq!(serial, parallel);
-    }
 
     #[test]
     fn seeds_decorrelate() {

@@ -3,7 +3,7 @@
 //! `hetsched-serve` daemon, gateway-side inflight accounting, and health
 //! state with timed re-probing.
 
-use std::io::{self, ErrorKind, Read};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -14,8 +14,8 @@ use hetsched_serve::transport::{write_line, Line, LineCodec, WRITE_STALL};
 
 use crate::metrics::ShardSnapshot;
 
-/// Per-call read and write timeout: bounds how stale the deadline (or
-/// write stall) check can get, not the total wait.
+/// Longest a single read or write call blocks: bounds how stale the
+/// deadline (or write stall) check can get, not the total wait.
 const IO_SLICE: Duration = Duration::from_millis(200);
 
 /// A backend shard: address, pooled connections, inflight budget state,
@@ -184,7 +184,6 @@ impl Conn {
             .ok_or_else(|| io::Error::new(ErrorKind::InvalidInput, format!("bad addr {addr}")))?;
         let stream = TcpStream::connect_timeout(&sock_addr, timeout)?;
         stream.set_nodelay(true)?;
-        stream.set_write_timeout(Some(IO_SLICE))?;
         Ok(Conn {
             stream,
             codec: LineCodec::new(usize::MAX),
@@ -212,15 +211,21 @@ impl Conn {
     }
 
     /// Write `line` and read exactly one reply line, or fail with
-    /// `ErrorKind::TimedOut` once `deadline_at` passes. A reply that is
-    /// not valid UTF-8 fails with `InvalidData`: it is never forwarded.
+    /// `ErrorKind::TimedOut` once `deadline_at` passes, while writing or
+    /// while reading. A reply that is not valid UTF-8 fails with
+    /// `InvalidData`: it is never forwarded.
     fn round_trip(&mut self, line: &str, deadline_at: Instant) -> io::Result<String> {
-        write_line(
-            &mut self.stream,
-            &mut self.scratch,
-            line.as_bytes(),
-            WRITE_STALL,
-        )?;
+        let mut writer = DeadlineWriter {
+            stream: &self.stream,
+            deadline_at,
+        };
+        write_line(&mut writer, &mut self.scratch, line.as_bytes(), WRITE_STALL).map_err(|e| {
+            if e.kind() == ErrorKind::WriteZero && Instant::now() >= deadline_at {
+                io::Error::new(ErrorKind::TimedOut, "deadline passed writing to the shard")
+            } else {
+                e
+            }
+        })?;
         loop {
             match self.codec.next_line() {
                 Some(Line::Text(reply)) => return Ok(reply.to_string()),
@@ -257,10 +262,35 @@ impl Conn {
     }
 }
 
+/// A shard connection as [`write_line`] writes to it: no call blocks past
+/// `deadline_at`, and one made after it fails with `WriteZero`. A shard
+/// that stops reading is given up on at the request's deadline, or after
+/// `WRITE_STALL` if that comes first.
+struct DeadlineWriter<'s> {
+    stream: &'s TcpStream,
+    deadline_at: Instant,
+}
+
+impl Write for DeadlineWriter<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let left = self.deadline_at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::WriteZero.into());
+        }
+        self.stream.set_write_timeout(Some(left.min(IO_SLICE)))?;
+        let mut stream = self.stream;
+        stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let mut stream = self.stream;
+        stream.flush()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
 
     #[test]
     fn inflight_budget_reserve_and_release() {

@@ -27,8 +27,7 @@ use crossbeam::channel::RecvTimeoutError;
 use parking_lot::Mutex;
 
 use hetsched_core::{Delta, ProblemInstance};
-use hetsched_dag::{Dag, Fingerprint};
-use hetsched_platform::System;
+use hetsched_dag::Fingerprint;
 use hetsched_serve::cache::LruCache;
 use hetsched_serve::journal::Journal;
 use hetsched_serve::metrics::RequestStatus;
@@ -54,12 +53,12 @@ const FOLLOWER_SLACK: Duration = Duration::from_millis(100);
 const SHARD_GRACE: Duration = Duration::from_millis(250);
 /// Deadline for control-plane fan-outs (per-shard stats, shutdown).
 const CONTROL_DEADLINE: Duration = Duration::from_secs(2);
-/// Capacity of the gateway's raw-byte hot-line cache. Unlike the shard's
-/// wire cache (coupled to its memo evictions), the gateway sees shard
-/// cache churn only through `unknown_parent` replies (see
-/// `Router::forget_problem`), so this stays a small fixed window over the
-/// hottest request lines; a stale entry can at worst re-serve a reply
-/// whose schedule bytes are deterministic anyway (see `handle_line`).
+/// Capacity of the gateway's raw-byte hot-line cache, the fleet's only
+/// wire cache. The gateway sees shard cache churn only through
+/// `unknown_parent` replies (see `Router::forget_problem`), so this stays
+/// a small fixed window over the hottest request lines; a stale entry can
+/// at worst re-serve a reply whose schedule bytes are deterministic anyway
+/// (see `handle_line`).
 const WIRE_CACHE_CAPACITY: usize = 256;
 /// Prefix of a shard's reply to a `patch` whose parent it no longer holds.
 const UNKNOWN_PARENT_REPLY: &str = r#"{"status":"error","message":"unknown_parent"#;
@@ -420,10 +419,14 @@ impl Router {
                         return Arc::new(Response::error(format!("invalid system: {e}")).to_line());
                     }
                 };
+                // One content fold routes the request and starts its
+                // single-flight key.
+                let content = ProblemInstance::from_refs(&dag, &sys)
+                    .content_fold()
+                    .clone();
                 (
-                    (ProblemInstance::content_fingerprint(&dag, &sys) % self.backends.len() as u64)
-                        as usize,
-                    dedup_key(req, &dag, &sys, &alg_names, options),
+                    (content.finish() % self.backends.len() as u64) as usize,
+                    dedup_key(req, content, &alg_names, options),
                     None,
                 )
             }
@@ -855,36 +858,29 @@ impl Router {
     }
 }
 
-/// Dedup key for single-flight coalescing: the op kind, the (DAG, system)
-/// content, the algorithm list, and the response-shaping options. Mirrors
+/// Dedup key for single-flight coalescing: the (DAG, system) `content`
+/// fold that routed the request, continued with the op kind, the
+/// algorithm list, and the response-shaping options. Mirrors
 /// [`hetsched_serve::request_fingerprint`]'s exclusions: `deadline_ms`
 /// bounds the wait, `jobs` changes speed — neither changes the reply, so
 /// requests differing only in them coalesce.
 fn dedup_key(
     req: &Request,
-    dag: &Dag,
-    sys: &System,
+    mut fp: Fingerprint,
     alg_names: &[String],
     options: &RequestOptions,
 ) -> u64 {
-    let mut fp = Fingerprint::new();
     fp.tag("gateway-op");
     fp.push_str(match req {
         Request::Portfolio { .. } => "portfolio",
         _ => "schedule",
     });
-    dag.fold_fingerprint(&mut fp);
-    sys.fold_fingerprint(&mut fp);
     fp.tag("algorithms");
     fp.push_u64(alg_names.len() as u64);
     for name in alg_names {
         fp.push_str(name);
     }
-    fp.tag("options");
-    fp.push_u8(options.simulate as u8);
-    fp.push_u8(options.debug_panic as u8);
-    fp.push_u64(options.debug_sleep_ms.unwrap_or(0));
-    fp.push_u8(options.trace as u8);
+    options.fold_fingerprint(&mut fp);
     fp.finish()
 }
 
@@ -907,11 +903,7 @@ fn many_dedup_key(content_fps: &[u64], algorithm: &str, options: &RequestOptions
     fp.tag("algorithms");
     fp.push_u64(1);
     fp.push_str(algorithm);
-    fp.tag("options");
-    fp.push_u8(options.simulate as u8);
-    fp.push_u8(options.debug_panic as u8);
-    fp.push_u64(options.debug_sleep_ms.unwrap_or(0));
-    fp.push_u8(options.trace as u8);
+    options.fold_fingerprint(&mut fp);
     fp.finish()
 }
 
@@ -946,11 +938,7 @@ fn patch_dedup_key(
     fp.push_str(algorithm);
     fp.tag("deltas");
     fp.push_str(&serde_json::to_string(&deltas).expect("delta serialization is infallible"));
-    fp.tag("options");
-    fp.push_u8(options.simulate as u8);
-    fp.push_u8(options.debug_panic as u8);
-    fp.push_u64(options.debug_sleep_ms.unwrap_or(0));
-    fp.push_u8(options.trace as u8);
+    options.fold_fingerprint(&mut fp);
     fp.finish()
 }
 
@@ -1079,7 +1067,8 @@ fn inject_gateway_timing(reply: &str, trace_id: &str, timing: &GatewayTiming) ->
 mod tests {
     use super::*;
 
-    fn small_parts() -> (Dag, System, Request) {
+    /// A small schedule request and its problem's content fold.
+    fn small_parts() -> (Fingerprint, Request) {
         let line = r#"{"op":"schedule","dag":{"tasks":[{"weight":1.0},{"weight":2.0}],"edges":[{"src":0,"dst":1,"data":1.5}]},"system":{"processors":{"kind":"homogeneous","count":2},"network":{"topology":"fully_connected","bandwidth":1.0}},"algorithm":"HEFT","options":{"deadline_ms":5000,"jobs":4}}"#;
         let req = Request::parse(line).unwrap();
         let Request::Schedule { dag, system, .. } = &req else {
@@ -1087,14 +1076,20 @@ mod tests {
         };
         let dag = dag.build().unwrap();
         let sys = system.build(&dag).unwrap();
-        (dag, sys, req)
+        let content = ProblemInstance::from_refs(&dag, &sys)
+            .content_fold()
+            .clone();
+        (content, req)
     }
 
     #[test]
     fn dedup_key_ignores_deadline_and_jobs_but_not_content() {
-        let (dag, sys, req) = small_parts();
+        let (content, req) = small_parts();
+        let key = |algorithm: &str, options| {
+            dedup_key(&req, content.clone(), &[algorithm.to_string()], options)
+        };
         let base = RequestOptions::default();
-        let k1 = dedup_key(&req, &dag, &sys, &["HEFT".to_string()], &base);
+        let k1 = key("HEFT", &base);
         let with_deadline = RequestOptions {
             deadline_ms: Some(10),
             jobs: Some(8),
@@ -1102,7 +1097,7 @@ mod tests {
         };
         assert_eq!(
             k1,
-            dedup_key(&req, &dag, &sys, &["HEFT".to_string()], &with_deadline),
+            key("HEFT", &with_deadline),
             "deadline/jobs must not split flights"
         );
         let traced = RequestOptions {
@@ -1111,19 +1106,19 @@ mod tests {
         };
         assert_ne!(
             k1,
-            dedup_key(&req, &dag, &sys, &["HEFT".to_string()], &traced),
+            key("HEFT", &traced),
             "trace changes the reply, so it must split flights"
         );
         assert_ne!(
             k1,
-            dedup_key(&req, &dag, &sys, &["CPOP".to_string()], &base),
+            key("CPOP", &base),
             "different algorithm must split flights"
         );
     }
 
     #[test]
     fn forward_line_rewrites_only_the_deadline() {
-        let (_, _, req) = small_parts();
+        let (_, req) = small_parts();
         let line = forward_line(&req, Duration::from_millis(1234), 0);
         let back = Request::parse(&line).unwrap();
         let Request::Schedule {
@@ -1271,10 +1266,10 @@ mod tests {
 
     #[test]
     fn patch_key_never_coalesces_with_the_parents_schedule_key() {
-        let (dag, sys, req) = small_parts();
+        let (content, req) = small_parts();
         let base = RequestOptions::default();
-        let parent_fp = ProblemInstance::content_fingerprint(&dag, &sys);
-        let schedule_key = dedup_key(&req, &dag, &sys, &["HEFT".to_string()], &base);
+        let parent_fp = content.finish();
+        let schedule_key = dedup_key(&req, content, &["HEFT".to_string()], &base);
         // Even a delta-free patch of the same problem under the same
         // algorithm must be its own flight.
         let patch_key = patch_dedup_key(parent_fp, "HEFT", &[], &base);
@@ -1316,13 +1311,9 @@ mod tests {
         };
         assert_eq!(k, many_dedup_key(&fps, "HEFT", &with_deadline));
         // a one-instance batch never coalesces with the standalone op
-        let (dag, sys, req) = small_parts();
-        let single = dedup_key(&req, &dag, &sys, &["HEFT".to_string()], &base);
-        let one = many_dedup_key(
-            &[ProblemInstance::content_fingerprint(&dag, &sys)],
-            "HEFT",
-            &base,
-        );
+        let (content, req) = small_parts();
+        let one = many_dedup_key(&[content.finish()], "HEFT", &base);
+        let single = dedup_key(&req, content, &["HEFT".to_string()], &base);
         assert_ne!(single, one);
     }
 
@@ -1406,7 +1397,7 @@ mod tests {
                     serde_json::to_string(&via_serde).unwrap(),
                     "{line}"
                 );
-                // the shard's scanner takes the spliced line too
+                // the scanner takes the spliced line too
                 let rescan = wire::scan(spliced.as_bytes()).expect("spliced line scans");
                 assert_eq!(rescan.deadline_ms, Some(ms));
                 if scan.options_body.is_some() {
@@ -1477,7 +1468,7 @@ mod tests {
         assert_eq!(ctx.hops[0].sent_at_us, 42);
 
         // Untraced requests stay hop-free (and byte-stable).
-        let (_, _, plain) = small_parts();
+        let (_, plain) = small_parts();
         let out = forward_line(&plain, Duration::from_millis(250), 42);
         assert!(!out.contains("trace_ctx"), "{out}");
     }

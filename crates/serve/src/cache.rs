@@ -99,27 +99,22 @@ impl<V> LruCache<V> {
     }
 
     /// Insert or replace `key`, evicting the least-recently-used entry if
-    /// the cache is full. Returns the evicted key, if any — the service
-    /// layer uses this to invalidate derived caches (the wire-level reply
-    /// cache bumps its epoch on every eviction).
-    pub fn insert(&mut self, key: u64, value: V) -> Option<u64> {
+    /// the cache is full.
+    pub fn insert(&mut self, key: u64, value: V) {
         if let Some(&idx) = self.map.get(&key) {
             self.slots[idx].value = value;
             if self.head != idx {
                 self.unlink(idx);
                 self.push_front(idx);
             }
-            return None;
+            return;
         }
-        let mut evicted = None;
         if self.map.len() == self.capacity {
             let lru = self.tail;
             debug_assert_ne!(lru, NONE);
             self.unlink(lru);
-            let key = self.slots[lru].key;
-            self.map.remove(&key);
+            self.map.remove(&self.slots[lru].key);
             self.free.push(lru);
-            evicted = Some(key);
         }
         let idx = match self.free.pop() {
             Some(i) => {
@@ -143,7 +138,6 @@ impl<V> LruCache<V> {
         };
         self.map.insert(key, idx);
         self.push_front(idx);
-        evicted
     }
 
     /// Drop every entry whose value fails `keep`; survivors keep their
@@ -190,10 +184,10 @@ mod tests {
     #[test]
     fn eviction_is_lru() {
         let mut c = LruCache::new(2);
-        assert_eq!(c.insert(1, 10), None);
-        assert_eq!(c.insert(2, 20), None);
+        c.insert(1, 10);
+        c.insert(2, 20);
         c.get(1); // 2 becomes LRU
-        assert_eq!(c.insert(3, 30), Some(2), "eviction reports the key");
+        c.insert(3, 30);
         assert_eq!(c.get(2), None);
         assert_eq!(c.get(1), Some(&10));
         assert_eq!(c.get(3), Some(&30));
@@ -205,7 +199,8 @@ mod tests {
         let mut c = LruCache::new(2);
         c.insert(1, "a");
         c.insert(2, "b");
-        assert_eq!(c.insert(1, "a2"), None, "replacement never evicts");
+        c.insert(1, "a2"); // replacement never evicts
+        assert_eq!(c.len(), 2);
         assert_eq!(c.get(1), Some(&"a2"));
         c.insert(3, "c"); // evicts 2, not 1
         assert_eq!(c.get(2), None);

@@ -19,7 +19,7 @@
 //! | [`transport`] | shared    | the NDJSON line codec and reply writer of both tiers; TCP accept loop with its connection cap, connection reaper, stdin runner |
 //! | [`service`]   | routing   | validation, bounded queue admission, deadlines, memoization |
 //! | `worker`      | worker    | the pool threads: scheduling, panic isolation |
-//! | [`wire`]      | transport | raw-byte request scanner for the hot-line reply cache |
+//! | [`wire`]      | gateway   | raw-byte request scanner behind the gateway's hot-line reply cache |
 //! | [`cache`]     | shared    | fingerprint-keyed LRU memoization cache |
 //! | [`metrics`]   | shared    | atomic counters + streaming latency histogram |
 //! | [`journal`]   | shared    | bounded span journal + fleet Chrome-trace merger |

@@ -310,14 +310,6 @@ pub struct ServiceMetrics {
     pub instance_cache_misses: AtomicU64,
     /// `patch` requests accepted (parent found, deltas applied).
     pub patches: AtomicU64,
-    /// Requests answered from the wire-level reply cache without parsing
-    /// (a subset of `cache_hits`).
-    pub wire_hits: AtomicU64,
-    /// Scanned requests whose digest was not in the wire cache.
-    pub wire_misses: AtomicU64,
-    /// Requests the wire scanner refused (whitespace, escapes, traced,
-    /// control ops) — the ordinary slow path.
-    pub wire_fallbacks: AtomicU64,
     /// Schedules produced by incremental repair rather than from-scratch
     /// computation (a subset of `computed`).
     pub repairs: AtomicU64,
@@ -469,21 +461,6 @@ impl ServiceMetrics {
             "hetsched_repairs_total",
             "Schedules produced by incremental repair (subset of computed).",
             Self::read(&self.repairs),
-        );
-        counter(
-            "hetsched_wire_hits_total",
-            "Requests answered from the wire-level reply cache without parsing.",
-            Self::read(&self.wire_hits),
-        );
-        counter(
-            "hetsched_wire_misses_total",
-            "Scanned requests whose digest missed the wire cache.",
-            Self::read(&self.wire_misses),
-        );
-        counter(
-            "hetsched_wire_fallbacks_total",
-            "Requests the wire scanner refused (full-parse path).",
-            Self::read(&self.wire_fallbacks),
         );
 
         let mut gauge = |name: &str, help: &str, value: u64| {
@@ -738,9 +715,6 @@ mod tests {
         ServiceMetrics::bump(&m.requests);
         ServiceMetrics::bump(&m.cache_hits);
         ServiceMetrics::bump(&m.instance_cache_misses);
-        ServiceMetrics::bump(&m.wire_hits);
-        ServiceMetrics::bump(&m.wire_misses);
-        ServiceMetrics::bump(&m.wire_fallbacks);
         m.latency
             .record(RequestStatus::Success, Duration::from_micros(100));
         m.latency
@@ -769,9 +743,6 @@ mod tests {
             "hetsched_instance_cache_misses_total 1",
             "hetsched_instance_cache_entries 2",
             "hetsched_workers 4",
-            "hetsched_wire_hits_total 1",
-            "hetsched_wire_misses_total 1",
-            "hetsched_wire_fallbacks_total 1",
             "# TYPE hetsched_request_latency_seconds histogram",
             "hetsched_request_latency_seconds_bucket{status=\"success\",le=\"+Inf\"} 1",
             "hetsched_request_latency_seconds_count{status=\"success\"} 1",

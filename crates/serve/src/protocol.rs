@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use hetsched_core::Schedule;
 use hetsched_dag::io::DagSpec;
+use hetsched_dag::Fingerprint;
 use hetsched_platform::SystemSpec;
 use hetsched_sim::SimResult;
 
@@ -58,6 +59,19 @@ pub struct RequestOptions {
     /// tracing observes routing and queueing, not scheduling.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace_ctx: Option<TraceCtx>,
+}
+
+impl RequestOptions {
+    /// Fold the options that shape a reply into a request key: all but
+    /// `deadline_ms`, `jobs` and `trace_ctx`, which change how long or how
+    /// a request runs, never its reply.
+    pub fn fold_fingerprint(&self, fp: &mut Fingerprint) {
+        fp.tag("options");
+        fp.push_u8(self.simulate as u8);
+        fp.push_u8(self.debug_panic as u8);
+        fp.push_u64(self.debug_sleep_ms.unwrap_or(0));
+        fp.push_u8(self.trace as u8);
+    }
 }
 
 /// Per-request distributed trace context, carried in
@@ -465,14 +479,15 @@ pub struct StatsBody {
     /// computation (a subset of `computed`).
     #[serde(default)]
     pub repairs: u64,
-    /// Requests answered from the wire-level reply cache without parsing
-    /// (a subset of `cache_hits`).
+    /// Always 0: a shard has no wire cache, and a repeat is a memo hit
+    /// (`cache_hits`). Kept, with the next two, for readers of the stats
+    /// layout; the gateway's wire cache counts in its own stats.
     #[serde(default)]
     pub wire_hits: u64,
-    /// Scanned requests whose digest missed the wire cache.
+    /// Always 0 (see `wire_hits`).
     #[serde(default)]
     pub wire_misses: u64,
-    /// Requests the wire scanner refused (full-parse path).
+    /// Always 0 (see `wire_hits`).
     #[serde(default)]
     pub wire_fallbacks: u64,
     /// Worker threads.

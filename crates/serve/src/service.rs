@@ -23,7 +23,7 @@
 //! them.
 
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -33,7 +33,7 @@ use parking_lot::Mutex;
 
 use hetsched_core::{algorithms, repairable, Delta, ProblemInstance, Scheduler};
 use hetsched_dag::io::DagSpec;
-use hetsched_dag::{Dag, Fingerprint};
+use hetsched_dag::Dag;
 use hetsched_platform::{System, SystemSpec};
 
 use crate::cache::LruCache;
@@ -44,7 +44,6 @@ use crate::protocol::{
     RequestOptions, Response, ScheduleBody, ScheduleManyBody, ServeTiming, SpanRecord, StatsBody,
     TimingBody,
 };
-use crate::wire::{self, WireScan};
 use crate::worker::{worker_loop, Job, JobCtx, RepairCtx};
 
 /// Service configuration.
@@ -80,65 +79,59 @@ impl Default for ServeConfig {
     }
 }
 
-/// One reply-memo entry: the computed body plus its reply line,
-/// serialized **once** — lazily, on the first memo hit, so a one-shot
-/// compute pays nothing for a repeat that never comes. Every later hit
-/// clones the `Arc` and re-serializes nothing; the wire-level cache
-/// shares the same bytes.
+/// One reply-memo entry: the computed body plus its hit's reply line,
+/// serialized **once** — lazily, on the first bytes-path hit, so a
+/// one-shot compute pays nothing for a repeat that never comes. Every
+/// later bytes-path hit clones the `Arc` and re-serializes nothing.
 pub(crate) struct MemoEntry {
-    /// The body as computed (`cached: false`); memo hits clone it and
-    /// flip the flag when a typed response is needed (tracing, batch
-    /// composition).
+    /// The body as computed (`cached: false`).
     pub(crate) body: ScheduleBody,
-    /// `Response::schedule` of the body with `cached: true`, serialized —
-    /// exactly the line a slow-path memo hit would produce. Empty until
-    /// the first hit materializes it.
-    pub(crate) line: OnceLock<Arc<[u8]>>,
+    /// [`MemoEntry::hit_line`], once a hit has asked for it.
+    line: OnceLock<Arc<[u8]>>,
 }
 
-/// One wire-cache entry: preserialized reply bytes valid only while the
-/// epoch they were stored under is still current (see
-/// [`Shared::note_eviction`]).
-pub(crate) struct WireEntry {
-    bytes: Arc<[u8]>,
-    epoch: u64,
+impl MemoEntry {
+    pub(crate) fn new(body: ScheduleBody) -> MemoEntry {
+        MemoEntry {
+            body,
+            line: OnceLock::new(),
+        }
+    }
+
+    /// The body a memo hit answers: the computed one with `cached: true`.
+    /// Typed hits (tracing, portfolio and batch composition) clone it.
+    fn hit_body(&self) -> ScheduleBody {
+        ScheduleBody {
+            cached: true,
+            ..self.body.clone()
+        }
+    }
+
+    /// `Response::schedule` of [`MemoEntry::hit_body`], serialized on the
+    /// first call: exactly the line a typed memo hit would produce.
+    /// Concurrent first callers wait for one serialization.
+    fn hit_line(&self) -> Arc<[u8]> {
+        self.line
+            .get_or_init(|| {
+                Response::schedule(self.hit_body())
+                    .to_line()
+                    .into_bytes()
+                    .into()
+            })
+            .clone()
+    }
 }
 
 /// State shared between the routing layer and the worker pool.
 pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     pub(crate) metrics: ServiceMetrics,
-    pub(crate) cache: Mutex<LruCache<MemoEntry>>,
+    pub(crate) cache: Mutex<LruCache<Arc<MemoEntry>>>,
     pub(crate) instances: Mutex<LruCache<Arc<ProblemInstance<'static>>>>,
-    /// Wire digest → preserialized reply bytes: the raw-byte hot-line
-    /// cache consulted before any parsing. Write-through from the reply
-    /// memo (only memo-hit-shaped replies are stored) and invalidated
-    /// wholesale by epoch whenever either underlying cache evicts.
-    pub(crate) wire: Mutex<LruCache<WireEntry>>,
-    /// Invalidation epoch of the wire cache. Bumped on every memo-cache
-    /// *or* instance-cache eviction: a memo eviction can flip a repeat
-    /// from `cached: true` to a fresh compute, and an instance eviction
-    /// can flip a `patch` from answered to `unknown_parent` — either way
-    /// the preserialized bytes may no longer match the slow path, so all
-    /// of them are retired at once. Evictions are rare at steady state
-    /// (the working set fits or the memo is thrashing anyway), so the
-    /// blunt epoch beats per-digest dependency tracking.
-    pub(crate) wire_epoch: AtomicU64,
     pub(crate) shutting: AtomicBool,
     /// Bounded span journal for traced requests, drained by the
     /// `journal` op. Untraced requests never touch it.
     pub(crate) journal: Journal,
-}
-
-impl Shared {
-    /// Register an eviction reported by [`LruCache::insert`] on the memo
-    /// or instance cache: bump the wire epoch, invalidating every
-    /// wire-cache entry stored under earlier epochs.
-    pub(crate) fn note_eviction(&self, evicted: Option<u64>) {
-        if evicted.is_some() {
-            self.wire_epoch.fetch_add(1, Ordering::Release);
-        }
-    }
 }
 
 /// The resident scheduling service. Cheap to share behind an `Arc`; every
@@ -155,26 +148,19 @@ pub struct Service {
 
 /// Content fingerprint of a scheduling request: DAG structure and weights,
 /// full system (ETC + network), algorithm name, and the options that
-/// influence the response body. `deadline_ms` is deliberately excluded —
-/// it bounds how long the client waits, not what is computed. `jobs` is
-/// excluded for the same reason: parallel search is bit-identical at any
-/// thread count, so it changes speed, never the response.
+/// influence the response body ([`RequestOptions::fold_fingerprint`]).
+/// The problem's part is the instance's carried
+/// [`ProblemInstance::content_fold`], so the content is folded once per
+/// instance, not once per key.
 pub fn request_fingerprint(
-    dag: &Dag,
-    sys: &System,
+    inst: &ProblemInstance<'_>,
     algorithm: &str,
     options: &RequestOptions,
 ) -> u64 {
-    let mut fp = Fingerprint::new();
-    dag.fold_fingerprint(&mut fp);
-    sys.fold_fingerprint(&mut fp);
+    let mut fp = inst.content_fold().clone();
     fp.tag("algorithm");
     fp.push_str(algorithm);
-    fp.tag("options");
-    fp.push_u8(options.simulate as u8);
-    fp.push_u8(options.debug_panic as u8);
-    fp.push_u64(options.debug_sleep_ms.unwrap_or(0));
-    fp.push_u8(options.trace as u8);
+    options.fold_fingerprint(&mut fp);
     fp.finish()
 }
 
@@ -190,8 +176,6 @@ impl Service {
         let shared = Arc::new(Shared {
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
             instances: Mutex::new(LruCache::new(config.instance_cache_capacity)),
-            wire: Mutex::new(LruCache::new(config.cache_capacity)),
-            wire_epoch: AtomicU64::new(0),
             metrics: ServiceMetrics::new(),
             shutting: AtomicBool::new(false),
             journal: Journal::default(),
@@ -250,57 +234,29 @@ impl Service {
     /// Handle one NDJSON request line, returning the response (never
     /// panics, never blocks past the request deadline).
     pub fn handle_line(&self, line: &str) -> Response {
+        self.parse_and_handle(line, false).into_response()
+    }
+
+    /// Handle one NDJSON request line, returning the reply line's bytes:
+    /// the transport's path. A repeat is a memo hit answered with the
+    /// entry's preserialized line (its `Arc`, no serialization); anything
+    /// else is serialized on the spot.
+    pub fn handle_line_bytes(&self, line: &str) -> Arc<[u8]> {
+        self.parse_and_handle(line, true).into_bytes()
+    }
+
+    fn parse_and_handle(&self, line: &str, want_bytes: bool) -> Reply {
         let arrival = Instant::now();
         match Request::parse(line) {
             Ok(req) => {
                 let parse_us = arrival.elapsed().as_micros() as u64;
-                self.handle_at(req, LineMeta { arrival, parse_us }, false)
-                    .into_response()
+                self.handle_at(req, LineMeta { arrival, parse_us }, want_bytes)
             }
             Err(e) => {
                 ServiceMetrics::bump(&self.shared.metrics.errors);
-                Response::error(format!("bad request: {e}"))
+                Reply::Typed(Response::error(format!("bad request: {e}")))
             }
         }
-    }
-
-    /// Handle one NDJSON request line entirely in bytes: the transport's
-    /// hot path. Repeat lines are answered from the wire cache without
-    /// any JSON parsing, instance construction, or serialization — one
-    /// digest probe returns the `Arc` of the exact bytes the slow path
-    /// would have produced. Everything else takes the ordinary
-    /// [`Service::handle_line`] route, preserialized where the memo
-    /// allows, serialized on the spot otherwise.
-    pub fn handle_line_bytes(&self, line: &str) -> Arc<[u8]> {
-        let arrival = Instant::now();
-        let m = &self.shared.metrics;
-        let Some(scan) = wire::scan(line.as_bytes()) else {
-            ServiceMetrics::bump(&m.wire_fallbacks);
-            return self.slow_line(line, arrival, None);
-        };
-        // During shutdown the slow path refuses scheduling ops; a wire
-        // hit must not answer what the slow path would refuse.
-        if !self.is_shutting_down() {
-            let epoch = self.shared.wire_epoch.load(Ordering::Acquire);
-            let hit = self
-                .shared
-                .wire
-                .lock()
-                .get(scan.digest)
-                .filter(|e| e.epoch == epoch)
-                .map(|e| e.bytes.clone());
-            if let Some(bytes) = hit {
-                self.record_wire_hit(&scan, arrival);
-                return bytes;
-            }
-            ServiceMetrics::bump(&m.wire_misses);
-            // The epoch is captured *before* the slow path runs: if any
-            // eviction lands while we compute, the entry we store is
-            // already stale and will never be served.
-            return self.slow_line(line, arrival, Some((scan.digest, epoch)));
-        }
-        ServiceMetrics::bump(&m.wire_fallbacks);
-        self.slow_line(line, arrival, None)
     }
 
     /// The reply to a line that cannot be read as a request (see
@@ -310,54 +266,6 @@ impl Service {
     pub fn error_reply(&self, message: &str) -> Arc<[u8]> {
         ServiceMetrics::bump(&self.shared.metrics.errors);
         Response::error(message).to_line().into_bytes().into()
-    }
-
-    /// Account one wire-cache hit: it is a request, a cache hit, and a
-    /// success, with deadline slack measured from the scanner's raw
-    /// capture. The per-algorithm histogram is deliberately skipped —
-    /// knowing the algorithm would require the parse the fast path
-    /// exists to avoid.
-    fn record_wire_hit(&self, scan: &WireScan, arrival: Instant) {
-        let m = &self.shared.metrics;
-        ServiceMetrics::bump(&m.requests);
-        ServiceMetrics::bump(&m.cache_hits);
-        ServiceMetrics::bump(&m.wire_hits);
-        let elapsed = arrival.elapsed();
-        m.latency.record(RequestStatus::Success, elapsed);
-        m.op_outcomes.bump(scan.op.as_str(), RequestStatus::Success);
-        if let Some(d) = scan.deadline_ms {
-            m.deadline_slack
-                .record(Duration::from_millis(d).saturating_sub(elapsed));
-        }
-    }
-
-    /// Full-parse tail of [`Service::handle_line_bytes`]; when `store`
-    /// carries a scanned digest and its pre-captured epoch, a stable
-    /// reply is written through to the wire cache.
-    fn slow_line(&self, line: &str, arrival: Instant, store: Option<(u64, u64)>) -> Arc<[u8]> {
-        let reply = match Request::parse(line) {
-            Ok(req) => {
-                let parse_us = arrival.elapsed().as_micros() as u64;
-                self.handle_at(req, LineMeta { arrival, parse_us }, true)
-            }
-            Err(e) => {
-                ServiceMetrics::bump(&self.shared.metrics.errors);
-                Reply::Typed(Response::error(format!("bad request: {e}")))
-            }
-        };
-        let bytes = reply.into_bytes();
-        if let Some((digest, epoch)) = store {
-            if wire::reply_stable(&bytes) {
-                self.shared.wire.lock().insert(
-                    digest,
-                    WireEntry {
-                        bytes: bytes.clone(),
-                        epoch,
-                    },
-                );
-            }
-        }
-        bytes
     }
 
     /// Handle one parsed request.
@@ -537,9 +445,9 @@ impl Service {
             instance_cache_entries: self.shared.instances.lock().len(),
             patches: ServiceMetrics::read(&m.patches),
             repairs: ServiceMetrics::read(&m.repairs),
-            wire_hits: ServiceMetrics::read(&m.wire_hits),
-            wire_misses: ServiceMetrics::read(&m.wire_misses),
-            wire_fallbacks: ServiceMetrics::read(&m.wire_fallbacks),
+            wire_hits: 0,
+            wire_misses: 0,
+            wire_fallbacks: 0,
             workers: self.shared.config.workers,
             queue_capacity: self.shared.config.queue_capacity,
             latency_samples: m.latency.success().count(),
@@ -592,19 +500,18 @@ impl Service {
         Ok((dag, sys))
     }
 
-    /// Fetch the shared [`ProblemInstance`] for `(dag, sys)` from the
-    /// instance cache, building and inserting it on a miss. The cache is
-    /// keyed by the (DAG, system) content fingerprint alone — algorithm
-    /// and options are deliberately excluded, so a portfolio's members and
-    /// repeat requests with different algorithms all share one instance
-    /// and its memoized rank vectors.
-    fn instance_for(&self, dag: Dag, sys: System) -> Arc<ProblemInstance<'static>> {
+    /// The shared [`ProblemInstance`] for `inst`'s problem: the cached
+    /// one, or `inst` itself, inserted, on a miss. The cache is keyed by
+    /// the (DAG, system) content fingerprint alone — algorithm and options
+    /// are deliberately excluded, so a portfolio's members and repeat
+    /// requests with different algorithms all share one instance and its
+    /// memoized rank vectors. Either way the instance carries the one
+    /// content fold that keys it, names the reply's `problem` and starts
+    /// every request key on it.
+    fn instance_for(&self, inst: ProblemInstance<'static>) -> Arc<ProblemInstance<'static>> {
         let m = &self.shared.metrics;
-        // Build first: construction clones nothing (it takes the arenas by
-        // value), and the key computed through the instance stays cached
-        // in it for the reply's `problem` field. Hash outside the lock:
-        // folding a large DAG under it would stall concurrent lookups.
-        let inst = ProblemInstance::new(dag, sys);
+        // Hash outside the lock: folding a large DAG under it would stall
+        // concurrent lookups.
         let key = inst.fingerprint();
         if let Some(hit) = self.shared.instances.lock().get(key) {
             ServiceMetrics::bump(&m.instance_cache_hits);
@@ -612,8 +519,7 @@ impl Service {
         }
         let inst = Arc::new(inst);
         ServiceMetrics::bump(&m.instance_cache_misses);
-        let evicted = self.shared.instances.lock().insert(key, inst.clone());
-        self.shared.note_eviction(evicted);
+        self.shared.instances.lock().insert(key, inst.clone());
         inst
     }
 
@@ -656,13 +562,9 @@ impl Service {
     }
 
     /// Reply-memo lookup or job submission for one `(instance, algorithm)`
-    /// pair: returns the cached body immediately on a memo hit, otherwise
-    /// enqueues the job and hands back the reply channel to wait on.
-    ///
-    /// `want_line` asks for the entry's preserialized memo line alongside
-    /// the body; only the bytes path sets it, so typed callers (portfolio
-    /// and batch composition, traced requests, in-process [`Service::handle`])
-    /// never pay the serialization.
+    /// pair: returns the memo entry immediately on a hit (the caller takes
+    /// its line or a typed body from it), otherwise enqueues the job and
+    /// hands back the reply channel to wait on.
     #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
     #[allow(clippy::too_many_arguments)] // one-call-site-per-op plumbing of request state
     fn memo_or_submit(
@@ -674,32 +576,14 @@ impl Service {
         block_until: Option<Instant>,
         repair: Option<RepairCtx>,
         ctx: Option<JobCtx>,
-        want_line: bool,
     ) -> Result<MemberState, Response> {
         let m = &self.shared.metrics;
         ServiceMetrics::bump(&m.requests);
-        let fp = request_fingerprint(inst.dag(), inst.sys(), algorithm, options);
-        if let Some(hit) = self.shared.cache.lock().get(fp) {
-            let mut body = hit.body.clone();
-            body.cached = true;
-            // The first bytes-path hit serializes the memo line (under
-            // the cache lock — once per entry, and contenders would
-            // otherwise each serialize it themselves); every later hit
-            // clones the Arc. Typed hits skip the line entirely.
-            let line = want_line.then(|| {
-                hit.line
-                    .get_or_init(|| {
-                        let mut memo = hit.body.clone();
-                        memo.cached = true;
-                        Arc::from(Response::schedule(memo).to_line().into_bytes())
-                    })
-                    .clone()
-            });
+        let fp = request_fingerprint(inst, algorithm, options);
+        let hit = self.shared.cache.lock().get(fp).cloned();
+        if let Some(entry) = hit {
             ServiceMetrics::bump(&m.cache_hits);
-            return Ok(MemberState::Cached {
-                body: Box::new(body),
-                line,
-            });
+            return Ok(MemberState::Memo(entry));
         }
         let (reply_tx, reply_rx) = channel::bounded::<Response>(1);
         self.enqueue(
@@ -746,12 +630,9 @@ impl Service {
             )));
         };
 
-        let inst = self.instance_for(dag, sys);
+        let inst = self.instance_for(ProblemInstance::new(dag, sys));
         let ctx = JobCtx::for_options(&options, started);
-        let want_line = want_bytes && options.trace_ctx.is_none();
-        let state = match self
-            .memo_or_submit(&inst, &algorithm, alg, &options, None, None, ctx, want_line)
-        {
+        let state = match self.memo_or_submit(&inst, &algorithm, alg, &options, None, None, ctx) {
             Ok(state) => state,
             Err(resp) => return Reply::Typed(self.finalize_timing(resp, &options, meta, "none")),
         };
@@ -815,12 +696,10 @@ impl Service {
         // Register the patched problem under its own content fingerprint
         // so follow-up patches can chain off this one, exactly like a full
         // request for the patched problem would have.
-        let evicted = self
-            .shared
+        self.shared
             .instances
             .lock()
             .insert(inst.fingerprint(), inst.clone());
-        self.shared.note_eviction(evicted);
 
         // Repair wants the parent's schedule under the same algorithm and
         // options; when it is no longer memoized (or the algorithm is not
@@ -830,8 +709,7 @@ impl Service {
         let repair = repairable(&algorithm)
             .filter(|_| !options.trace)
             .and_then(|scheduler| {
-                let parent_fp =
-                    request_fingerprint(parent_inst.dag(), parent_inst.sys(), &algorithm, &options);
+                let parent_fp = request_fingerprint(&parent_inst, &algorithm, &options);
                 let parent_sched = self
                     .shared
                     .cache
@@ -847,10 +725,7 @@ impl Service {
             });
 
         let ctx = JobCtx::for_options(&options, started);
-        let want_line = want_bytes && options.trace_ctx.is_none();
-        let state = match self.memo_or_submit(
-            &inst, &algorithm, alg, &options, None, repair, ctx, want_line,
-        ) {
+        let state = match self.memo_or_submit(&inst, &algorithm, alg, &options, None, repair, ctx) {
             Ok(state) => state,
             Err(resp) => return Reply::Typed(self.finalize_timing(resp, &options, meta, "none")),
         };
@@ -872,18 +747,12 @@ impl Service {
     ) -> Reply {
         let m = &self.shared.metrics;
         let reply_rx = match state {
-            MemberState::Cached { body, line } => {
+            MemberState::Memo(entry) => {
                 m.record_algorithm(algorithm, started.elapsed());
                 if want_bytes && options.trace_ctx.is_none() {
-                    if let Some(line) = line {
-                        // The memo line is byte-for-byte what serializing
-                        // `Response::schedule(*body)` would produce from
-                        // the identical memoized body. Zero serialization
-                        // on this path.
-                        return Reply::Bytes(line);
-                    }
+                    return Reply::Bytes(entry.hit_line());
                 }
-                let resp = Response::schedule(*body);
+                let resp = Response::schedule(entry.hit_body());
                 return Reply::Typed(self.finalize_timing(resp, options, meta, "memo"));
             }
             MemberState::Pending(rx) => rx,
@@ -959,7 +828,7 @@ impl Service {
             Ok(v) => v,
             Err(resp) => return resp,
         };
-        let inst = self.instance_for(dag, sys);
+        let inst = self.instance_for(ProblemInstance::new(dag, sys));
 
         let deadline = Duration::from_millis(
             options
@@ -975,16 +844,7 @@ impl Service {
         // the queue capacity — workers drain it while we wait.
         let mut states = Vec::with_capacity(members.len());
         for (name, alg) in names.iter().zip(members) {
-            match self.memo_or_submit(
-                &inst,
-                name,
-                alg,
-                &options,
-                Some(deadline_at),
-                None,
-                None,
-                false,
-            ) {
+            match self.memo_or_submit(&inst, name, alg, &options, Some(deadline_at), None, None) {
                 Ok(state) => states.push(state),
                 Err(resp) => return self.finalize_timing(resp, &options, meta, "none"),
             }
@@ -992,7 +852,7 @@ impl Service {
         let mut bodies: Vec<ScheduleBody> = Vec::with_capacity(states.len());
         for (name, state) in names.iter().zip(states) {
             let body = match state {
-                MemberState::Cached { body, .. } => *body,
+                MemberState::Memo(entry) => entry.hit_body(),
                 MemberState::Pending(rx) => {
                     let remaining = deadline.saturating_sub(started.elapsed());
                     match await_reply(&rx, remaining) {
@@ -1094,13 +954,14 @@ impl Service {
                 Ok(v) => v,
                 Err(resp) => return self.finalize_timing(resp, &options, meta, "none"),
             };
-            let fp = request_fingerprint(&dag, &sys, &algorithm, &options);
+            let inst = ProblemInstance::new(dag, sys);
+            let fp = request_fingerprint(&inst, &algorithm, &options);
             if let Some(&(_, first)) = seen.iter().find(|(k, _)| *k == fp) {
                 members.push(Member::DupOf(first));
                 continue;
             }
             seen.push((fp, i));
-            let inst = self.instance_for(dag, sys);
+            let inst = self.instance_for(inst);
             let alg = algorithms::by_name(&algorithm).expect("validated above");
             match self.memo_or_submit(
                 &inst,
@@ -1110,7 +971,6 @@ impl Service {
                 Some(deadline_at),
                 None,
                 None,
-                false,
             ) {
                 Ok(state) => members.push(Member::State(state)),
                 Err(resp) => return self.finalize_timing(resp, &options, meta, "none"),
@@ -1127,9 +987,9 @@ impl Service {
                     cached += 1;
                     body
                 }
-                Member::State(MemberState::Cached { body, .. }) => {
+                Member::State(MemberState::Memo(entry)) => {
                     cached += 1;
-                    *body
+                    entry.hit_body()
                 }
                 Member::State(MemberState::Pending(rx)) => {
                     let remaining = deadline.saturating_sub(started.elapsed());
@@ -1177,17 +1037,11 @@ struct LineMeta {
     parse_us: u64,
 }
 
-/// A portfolio member after the memo lookup: already answered from the
-/// cache, or in flight on the worker pool.
+/// A request member after the memo lookup: answered by a memo entry,
+/// whose line the bytes path takes and whose body typed callers clone, or
+/// in flight on the worker pool.
 enum MemberState {
-    /// Answered from the reply memo: the typed body (for batch
-    /// composition and traced requests) plus — only when the caller asked
-    /// for it — the preserialized memo line (for the bytes path).
-    Cached {
-        /// Boxed so the in-flight variant stays small.
-        body: Box<ScheduleBody>,
-        line: Option<Arc<[u8]>>,
-    },
+    Memo(Arc<MemoEntry>),
     Pending(Receiver<Response>),
 }
 
@@ -2100,6 +1954,113 @@ mod tests {
         assert!(m.compute.count() >= 1);
         let stats = svc.stats_body();
         assert!(stats.compute_p99_us > 0.0);
+        svc.shutdown();
+    }
+
+    /// The request key as it was computed before instances carried their
+    /// content fold: the DAG and the system folded afresh, then the
+    /// algorithm and the reply-shaping options. The oracle for
+    /// [`request_fingerprint`].
+    fn two_pass_request_fingerprint(
+        dag: &Dag,
+        sys: &System,
+        algorithm: &str,
+        options: &RequestOptions,
+    ) -> u64 {
+        let mut fp = hetsched_dag::Fingerprint::new();
+        dag.fold_fingerprint(&mut fp);
+        sys.fold_fingerprint(&mut fp);
+        fp.tag("algorithm");
+        fp.push_str(algorithm);
+        fp.tag("options");
+        fp.push_u8(options.simulate as u8);
+        fp.push_u8(options.debug_panic as u8);
+        fp.push_u64(options.debug_sleep_ms.unwrap_or(0));
+        fp.push_u8(options.trace as u8);
+        fp.finish()
+    }
+
+    #[test]
+    fn carried_fold_keys_match_the_two_pass_fold() {
+        // deserialized: built from a parsed request line, as the service
+        // builds every problem
+        let Ok(Request::Schedule { dag, system, .. }) =
+            Request::parse(&small_request(7, "HEFT", "{}"))
+        else {
+            panic!("a schedule line");
+        };
+        let dag = dag.build().unwrap();
+        let sys = system.build(&dag).unwrap();
+        // fresh: built in code
+        let coded = hetsched_dag::builder::dag_from_edges(
+            &[3.0, 1.5, 2.0, 4.0],
+            &[(0, 1, 1.0), (0, 2, 2.5), (1, 3, 0.5), (2, 3, 3.0)],
+        )
+        .unwrap();
+        let coded_sys = System::homogeneous_unit(&coded, 2);
+        let deserialized = ProblemInstance::new(dag, sys);
+        let mut instances = vec![
+            ProblemInstance::new(coded.clone(), coded_sys.clone()),
+            ProblemInstance::from_refs(&coded, &coded_sys),
+        ];
+        // patched: weight-level deltas seed the memo, structural ones
+        // rebuild; either way the fold starts empty
+        for deltas in [
+            r#"[{"kind":"task_weight","task":1,"weight":9.5}]"#,
+            r#"[{"kind":"etc_entry","task":2,"proc":1,"time":30.0}]"#,
+            r#"[{"kind":"edge_data","src":0,"dst":4,"data":7.5}]"#,
+            r#"[{"kind":"remove_task","task":3},{"kind":"remove_proc","proc":0}]"#,
+        ] {
+            let deltas: Vec<Delta> = serde_json::from_str(deltas).unwrap();
+            let patched = deserialized.apply_deltas(&deltas).unwrap().instance;
+            instances.push(patched.into_owned());
+        }
+        instances.push(deserialized);
+        let traced = RequestOptions {
+            simulate: true,
+            debug_sleep_ms: Some(5),
+            trace: true,
+            deadline_ms: Some(100),
+            jobs: Some(3),
+            ..RequestOptions::default()
+        };
+        for inst in &instances {
+            for algorithm in ["HEFT", "ILS-D"] {
+                for options in [&RequestOptions::default(), &traced] {
+                    assert_eq!(
+                        request_fingerprint(inst, algorithm, options),
+                        two_pass_request_fingerprint(inst.dag(), inst.sys(), algorithm, options)
+                    );
+                }
+            }
+            assert_eq!(
+                inst.fingerprint(),
+                ProblemInstance::content_fingerprint(inst.dag(), inst.sys())
+            );
+        }
+
+        // The values a reply carries: `fingerprint` from the carried fold
+        // equals the oracle's, for a fresh request and for a patch.
+        let svc = Service::start(test_config());
+        let line = small_request(7, "HEFT", "{\"simulate\":true}");
+        let body = schedule_body(&svc.handle_line(&line)).clone();
+        let last = instances.last().unwrap();
+        let simulate = RequestOptions {
+            simulate: true,
+            ..RequestOptions::default()
+        };
+        let oracle = two_pass_request_fingerprint(last.dag(), last.sys(), "HEFT", &simulate);
+        assert_eq!(body.fingerprint, format!("{oracle:016x}"));
+        assert_eq!(body.problem, format!("{:016x}", last.fingerprint()));
+        let resp = svc.handle_line(&patch_request(
+            &body.problem,
+            "HEFT",
+            r#"[{"kind":"task_weight","task":1,"weight":9.5}]"#,
+            "{\"simulate\":true}",
+        ));
+        let patched = &instances[2];
+        let oracle = two_pass_request_fingerprint(patched.dag(), patched.sys(), "HEFT", &simulate);
+        assert_eq!(schedule_body(&resp).fingerprint, format!("{oracle:016x}"));
         svc.shutdown();
     }
 

@@ -1,18 +1,19 @@
-//! Wire-level request scanner: the front half of the raw-byte hot-line
-//! cache.
+//! Wire-level request scanner: the front half of the gateway's raw-byte
+//! hot-line cache.
 //!
-//! The serve daemon's steady-state traffic is dominated by *repeats* —
-//! the same DAG/system/algorithm line arriving again (retries, fan-out
-//! duplicates, periodic re-planning). The reply memo already collapses
-//! the scheduling work for those, but every repeat still pays a full
-//! `serde_json` parse, DAG/system construction, and fingerprint fold
-//! before it can even ask the memo. This module removes that tax: a
-//! shallow byte scanner walks the incoming NDJSON line **without building
-//! any values**, masks out the fields that may differ between repeats
-//! without changing the reply bytes (the *volatile* fields), and hashes
-//! the rest into a 64-bit **wire digest**. The service maps digests to
-//! preserialized reply bytes, so a repeat answers with one hash-map probe
-//! and one `write`.
+//! Fleet traffic is dominated by *repeats* — the same DAG/system/algorithm
+//! line arriving again (retries, fan-out duplicates, periodic
+//! re-planning). A shard's reply memo collapses the scheduling work for
+//! those, but every repeat still pays a full `serde_json` parse,
+//! DAG/system construction, a fingerprint fold and a hop to the shard
+//! before it can even ask the memo. This module lets the gateway skip
+//! that: a shallow byte scanner walks the incoming NDJSON line **without
+//! building any values**, masks out the fields that may differ between
+//! repeats without changing the reply bytes (the *volatile* fields), and
+//! hashes the rest into a 64-bit **wire digest**. The gateway maps
+//! digests to preserialized reply lines, so a repeat answers with one
+//! hash-map probe and one `write`. Shards do not scan: a repeat sent to a
+//! shard directly is a memo hit.
 //!
 //! ## Safety over coverage
 //!
@@ -47,8 +48,8 @@
 //! syntactically coherent — are cut from the digest, which is an FNV-1a
 //! fold over every byte outside the excluded ranges. `deadline_ms`'s
 //! *value* is additionally parsed out of the raw bytes, because the
-//! service still enforces deadlines on wire hits (the gateway sheds
-//! expired requests before answering). Its byte range and the offset
+//! gateway still enforces deadlines on wire hits (it sheds expired
+//! requests before answering). Its byte range and the offset
 //! inside the `options` object are reported too: the gateway forwards a
 //! scanned line as the client's own bytes with only the deadline
 //! rewritten, instead of re-serializing the parsed request.
@@ -156,15 +157,14 @@ pub fn scan(line: &[u8]) -> Option<WireScan> {
     })
 }
 
-/// Whether a reply line may enter a wire cache: it must be exactly the
+/// Whether a reply line may enter the wire cache: it must be exactly the
 /// shape every future repeat of the same digest will get from the slow
 /// path. That means a memo-hit reply: status `ok`, no `cached: false`
 /// anywhere (single bodies and batch entries all served from the memo),
 /// and for batches a `computed` count of zero. First computations fail
 /// this (their `cached: false` flips to `true` on the next repeat), so
-/// wire caches warm on the *second* repeat — when the reply shape has
-/// reached its fixed point. Both tiers use this predicate: the shard's
-/// write-through from the reply memo and the gateway's hot-line cache.
+/// the cache warms on the *second* repeat — when the reply shape has
+/// reached its fixed point.
 pub fn reply_stable(bytes: &[u8]) -> bool {
     fn contains(hay: &[u8], needle: &[u8]) -> bool {
         hay.windows(needle.len()).any(|w| w == needle)

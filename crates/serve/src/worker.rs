@@ -22,7 +22,7 @@ use crate::protocol::{
     RepairBody, RequestOptions, Response, ScheduleBody, ServeTiming, SimBody, SpanRecord,
     TimingBody, TraceBody,
 };
-use crate::service::Shared;
+use crate::service::{MemoEntry, Shared};
 
 /// Everything a worker needs to *repair* the parent's schedule instead of
 /// computing from scratch: the patch path attaches this when the algorithm
@@ -216,17 +216,12 @@ fn compute(job: Job, shared: &Shared) -> Response {
         repair,
     };
     // The memo line (these bytes with `cached: true`) is serialized
-    // lazily by the first memo hit, so a one-shot compute pays nothing
-    // for a repeat that never comes; every repeat after that — routing
-    // memo hit or wire-cache hit — shares the hit's exact bytes.
-    let evicted = shared.cache.lock().insert(
-        job.fingerprint,
-        crate::service::MemoEntry {
-            body: body.clone(),
-            line: std::sync::OnceLock::new(),
-        },
-    );
-    shared.note_eviction(evicted);
+    // lazily by the first bytes-path hit, so a one-shot compute pays
+    // nothing for a repeat that never comes.
+    shared
+        .cache
+        .lock()
+        .insert(job.fingerprint, Arc::new(MemoEntry::new(body.clone())));
     ServiceMetrics::bump(&shared.metrics.computed);
     let mut resp = Response::schedule(body);
     if let Some(ctx) = &job.ctx {

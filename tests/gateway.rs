@@ -634,6 +634,72 @@ fn a_shard_reply_over_the_line_cap_is_forwarded() {
     gateway.join().unwrap().unwrap();
 }
 
+/// A shard that passes the handshake and then stops reading stalls the
+/// gateway's write of a request larger than loopback's socket buffers.
+/// The request's deadline bounds that write as it bounds the read: the
+/// client gets `timeout` within its deadline plus a second, the shard is
+/// not marked down for it, and the gateway still drains on `shutdown`.
+#[test]
+fn a_shard_that_stops_reading_times_out_at_the_deadline() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let shard = listener.local_addr().unwrap().to_string();
+    let (release, held) = std::sync::mpsc::channel::<()>();
+    let stalled = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut hello = String::new();
+        BufReader::new(&stream).read_line(&mut hello).unwrap();
+        (&stream).write_all(SHARD_HELLO).unwrap();
+        // keep the connection open, and unread, until the test ends
+        let _ = held.recv();
+    });
+    let (addr, gateway) = spawn_gateway(vec![shard.clone()]);
+
+    // A 6 MiB task label: under the client line cap, over the socket
+    // buffers between the gateway and the shard.
+    let mut dag: DagSpec = serde_json::from_value(dag_json(4)).unwrap();
+    dag.tasks[0].label = Some("x".repeat(6 << 20));
+    let deadline = Duration::from_millis(STALLED_SHARD_DEADLINE_MS);
+    let line = format!(
+        "{{\"op\":\"schedule\",\"dag\":{},\"system\":{},\"algorithm\":\"HEFT\",\
+         \"options\":{{\"deadline_ms\":{STALLED_SHARD_DEADLINE_MS}}}}}",
+        serde_json::to_string(&dag).unwrap(),
+        SYSTEM_JSON.replace('\n', ""),
+    );
+    let mut c = Client::connect(addr);
+    c.writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let sent = Instant::now();
+    let mut reply = String::new();
+    c.reader.read_line(&mut reply).unwrap();
+    let took = sent.elapsed();
+    let reply: serde_json::Value = serde_json::from_str(&reply).unwrap();
+    assert_eq!(reply["status"].as_str(), Some("timeout"), "{reply:?}");
+    assert!(
+        took < deadline + Duration::from_secs(1),
+        "the timeout came {took:?} after the request was sent"
+    );
+    let metrics = c.roundtrip(r#"{"op":"metrics"}"#);
+    let text = metrics["metrics"].as_str().unwrap();
+    let up = format!("hetsched_gateway_shard_up{{shard=\"{shard}\"}} 1\n");
+    assert!(text.contains(&up), "no `{}` in\n{text}", up.trim());
+
+    let bye = c.roundtrip(r#"{"op":"shutdown"}"#);
+    assert_eq!(bye["status"].as_str(), Some("shutting_down"), "{bye:?}");
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        gateway.join().unwrap().unwrap();
+        done.send(()).unwrap();
+    });
+    joined
+        .recv_timeout(JOIN_BOUND)
+        .expect("the gateway drains after a stalled shard write");
+    drop(release);
+    stalled.join().unwrap();
+}
+
+/// The deadline of the request [`a_shard_that_stops_reading_times_out_at_the_deadline`]
+/// sends.
+const STALLED_SHARD_DEADLINE_MS: u64 = 1_000;
+
 /// Pause between the single-byte writes of a slowloris client: a few ms,
 /// so a `schedule` line takes about a second to arrive.
 const BYTE_GAP: Duration = Duration::from_millis(3);

@@ -1,16 +1,20 @@
-//! End-to-end tests for the raw-byte wire fast path on both tiers.
+//! End-to-end tests for the raw-byte wire path.
 //!
-//! The standing contract under test: a wire-cache hit answers with bytes
-//! **identical** to what the full parse → fingerprint → memo slow path
-//! would have produced — for every data op, on the shard and on the
-//! gateway — and any scanner uncertainty (permuted keys, whitespace,
-//! escapes) degrades to a clean slow-path answer, never a wrong one.
+//! The standing contract under test: a hit in the gateway's wire cache,
+//! the fleet's only one, answers with bytes **identical** to what the
+//! full parse → route → shard memo path would have produced, for every
+//! data op, and any scanner uncertainty (permuted keys, whitespace,
+//! escapes) degrades to a clean slow-path answer, never a wrong one. A
+//! shard keeps no wire cache: a repeat sent to it directly is a memo hit,
+//! byte-identical to the one before it.
 
 use std::sync::OnceLock;
+use std::time::Instant;
 
 use proptest::prelude::*;
 
-use hetsched_gateway::{GatewayConfig, GatewayServer, LocalShards};
+use hetsched_gateway::metrics::read;
+use hetsched_gateway::{GatewayConfig, GatewayServer, LocalShards, Router};
 use hetsched_serve::{ServeConfig, Service};
 
 fn test_config() -> ServeConfig {
@@ -85,24 +89,33 @@ fn svc_stats(svc: &Service) -> serde_json::Value {
     parse_bytes(&svc.handle_line_bytes("{\"op\":\"stats\"}"))
 }
 
-/// Three repeats of the same line: cold compute, memo hit (warms the
-/// wire cache), wire hit. Returns (memo-hit bytes, wire-hit bytes).
-fn warm_triple(svc: &Service, line: &str) -> (Vec<u8>, Vec<u8>) {
+fn stat(stats: &serde_json::Value, key: &str) -> u64 {
+    stats["stats"][key].as_u64().unwrap()
+}
+
+/// Three repeats of the same line on a shard: a cold compute, then two
+/// memo hits, the last of which computes nothing. Returns the two memo
+/// hits' bytes.
+fn repeat_triple(svc: &Service, line: &str) -> (Vec<u8>, Vec<u8>) {
     let r1 = svc.handle_line_bytes(line);
-    let r2 = svc.handle_line_bytes(line);
-    let r3 = svc.handle_line_bytes(line);
     assert!(
         r1.starts_with(b"{\"status\":\"ok\""),
         "cold reply not ok: {}",
         String::from_utf8_lossy(&r1)
     );
+    let r2 = svc.handle_line_bytes(line);
+    let before = svc_stats(svc);
+    let r3 = svc.handle_line_bytes(line);
+    let after = svc_stats(svc);
+    assert_eq!(stat(&after, "computed"), stat(&before, "computed"));
+    assert!(stat(&after, "cache_hits") > stat(&before, "cache_hits"));
     (r2.to_vec(), r3.to_vec())
 }
 
-/// Every data op's wire hit is byte-identical to its slow-path memo hit,
-/// and the wire counters account the traffic.
+/// Every data op's repeat on a shard is a memo hit, byte-identical to the
+/// memo hit before it, and the shard's wire counters stay 0.
 #[test]
-fn serve_wire_hits_are_byte_identical_for_every_op() {
+fn serve_repeats_are_byte_identical_memo_hits_for_every_op() {
     let svc = Service::start(test_config());
 
     let schedule = schedule_request(8, "HEFT", "{\"deadline_ms\":10000}");
@@ -110,11 +123,11 @@ fn serve_wire_hits_are_byte_identical_for_every_op() {
     let many = many_request(&[4, 5, 6], "{}");
 
     for line in [&schedule, &portfolio, &many] {
-        let (memo, wire) = warm_triple(&svc, line);
+        let (memo, repeat) = repeat_triple(&svc, line);
         assert_eq!(
             memo,
-            wire,
-            "wire hit must be byte-identical to the memo hit for {}",
+            repeat,
+            "a repeat must be byte-identical to the memo hit before it for {}",
             &line[..40.min(line.len())]
         );
     }
@@ -129,49 +142,39 @@ fn serve_wire_hits_are_byte_identical_for_every_op() {
         "[{\"kind\":\"task_weight\",\"task\":1,\"weight\":9.5}]",
         "{}",
     );
-    let (memo, wire) = warm_triple(&svc, &patch);
-    assert_eq!(memo, wire, "patch wire hit must match its memo hit");
+    let (memo, repeat) = repeat_triple(&svc, &patch);
+    assert_eq!(memo, repeat, "a patch repeat must match its memo hit");
 
     let stats = svc_stats(&svc);
-    let hits = stats["stats"]["wire_hits"].as_u64().unwrap();
-    let misses = stats["stats"]["wire_misses"].as_u64().unwrap();
-    let fallbacks = stats["stats"]["wire_fallbacks"].as_u64().unwrap();
-    assert!(hits >= 4, "one wire hit per op, got {hits}");
-    assert!(misses >= 4, "every cold+memo repeat scans but misses");
-    // Only the `stats` control requests themselves fall back.
-    assert!(fallbacks >= 1, "control ops never take the fast path");
+    for key in ["wire_hits", "wire_misses", "wire_fallbacks"] {
+        assert_eq!(stat(&stats, key), 0, "a shard has no wire cache: {key}");
+    }
     svc.shutdown();
 }
 
-/// The serve wire cache is invalidated when the memo cache churns: after
-/// enough distinct problems evict the warmed entry's memo line, the old
-/// digest must recompute, not answer stale bytes.
+/// Once memo churn evicts a repeat's entry, the repeat recomputes: no
+/// other shard layer answers it with the evicted entry's bytes.
 #[test]
-fn serve_wire_cache_follows_memo_evictions() {
+fn serve_repeat_after_a_memo_eviction_recomputes() {
     let svc = Service::start(ServeConfig {
         cache_capacity: 2,
         instance_cache_capacity: 2,
         ..test_config()
     });
     let hot = schedule_request(8, "HEFT", "{}");
-    let (memo, wire) = warm_triple(&svc, &hot);
-    assert_eq!(memo, wire);
+    let (memo, _) = repeat_triple(&svc, &hot);
 
     // Churn the 2-entry memo cache until `hot` is gone.
     for n in 10..16 {
         let _ = svc.handle_line_bytes(&schedule_request(n, "HEFT", "{}"));
     }
-    let hits_before = svc_stats(&svc)["stats"]["wire_hits"].as_u64().unwrap();
+    let computed = stat(&svc_stats(&svc), "computed");
     let again = svc.handle_line_bytes(&hot);
-    let hits_after = svc_stats(&svc)["stats"]["wire_hits"].as_u64().unwrap();
-    assert_eq!(
-        hits_before, hits_after,
-        "an epoch-stale wire entry must not answer"
-    );
+    assert_eq!(stat(&svc_stats(&svc), "computed"), computed + 1);
     // The recomputed reply carries the same placement (only the `cached`
     // flag differs: the memo entry was evicted, so this was a recompute).
     let v = parse_bytes(&again);
-    let w = parse_bytes(&wire);
+    let w = parse_bytes(&memo);
     assert_eq!(v["schedule"]["cached"], serde_json::Value::Bool(false));
     assert_eq!(
         v["schedule"]["schedule"], w["schedule"]["schedule"],
@@ -263,17 +266,31 @@ fn gateway_wire_hits_are_byte_identical_and_respect_deadlines() {
     shards.shutdown_all();
 }
 
-/// Shared service for the randomized property: one warmed daemon, many
-/// adversarial request variants against it.
-fn prop_service() -> &'static (Service, Vec<u8>) {
-    static SVC: OnceLock<(Service, Vec<u8>)> = OnceLock::new();
-    SVC.get_or_init(|| {
-        let svc = Service::start(test_config());
-        let base = base_line(60_000, 2);
-        let _ = svc.handle_line_bytes(&base);
-        let memo = svc.handle_line_bytes(&base).to_vec();
-        (svc, memo)
+/// A gateway over two shards, in-process, with [`base_line`]'s reply in
+/// its wire cache: the request computes, its repeat is a shard memo hit
+/// that the gateway stores, and a third is a gateway wire hit. Returns
+/// the shards (to keep them up), the router and the stored reply.
+fn warmed_gateway() -> (LocalShards, Router, String) {
+    let shards = LocalShards::spawn(2, &test_config()).unwrap();
+    let router = Router::new(GatewayConfig {
+        backends: shards.addrs(),
+        ..Default::default()
     })
+    .unwrap();
+    let base = base_line(60_000, 2);
+    let _ = router.handle_line(&base, Instant::now());
+    let memo = router.handle_line(&base, Instant::now()).to_string();
+    let hits = read(&router.metrics().wire_hits);
+    assert_eq!(*router.handle_line(&base, Instant::now()), memo);
+    assert_eq!(read(&router.metrics().wire_hits), hits + 1, "not warmed");
+    (shards, router, memo)
+}
+
+/// Shared gateway for the randomized property: one warmed router, many
+/// adversarial request variants against it.
+fn prop_gateway() -> &'static (LocalShards, Router, String) {
+    static GATEWAY: OnceLock<(LocalShards, Router, String)> = OnceLock::new();
+    GATEWAY.get_or_init(warmed_gateway)
 }
 
 fn base_line(deadline_ms: u64, jobs: usize) -> String {
@@ -319,9 +336,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Volatile-field mutations, key permutations, and whitespace all
-    /// resolve to the same reply bytes: a byte-identical wire hit when
-    /// the digest matches, a clean slow-path memo hit when it cannot —
-    /// never a wrong answer.
+    /// resolve to the same reply bytes at the gateway: a byte-identical
+    /// wire hit when the digest matches, a clean slow-path shard memo hit
+    /// when it cannot — never a wrong answer.
     #[test]
     fn randomized_variants_never_get_a_wrong_reply(
         deadline_ms in 1_000u64..120_000,
@@ -329,17 +346,17 @@ proptest! {
         shuffle_seed in 0u64..1_000_000,
         whitespace in 0usize..3,
     ) {
-        let (svc, memo) = prop_service();
+        let (_, router, memo) = prop_gateway();
         let order = shuffled_order(shuffle_seed);
         let line = variant_line(deadline_ms, jobs, &order, whitespace);
 
-        let hits_before = svc_stats(svc)["stats"]["wire_hits"].as_u64().unwrap();
-        let reply = svc.handle_line_bytes(&line);
-        let hits_after = svc_stats(svc)["stats"]["wire_hits"].as_u64().unwrap();
+        let hits_before = read(&router.metrics().wire_hits);
+        let reply = router.handle_line(&line, Instant::now());
+        let hits_after = read(&router.metrics().wire_hits);
 
         prop_assert_eq!(
-            reply.as_ref(),
-            memo.as_slice(),
+            reply.as_str(),
+            memo.as_str(),
             "variant reply diverged from the canonical memo-hit bytes"
         );
         if whitespace > 0 {
@@ -352,16 +369,22 @@ proptest! {
 }
 
 /// A variant that changes the *problem* (not just volatile fields) must
-/// never collide with the warmed digest.
+/// never collide with the warmed digest at the gateway.
 #[test]
 fn mutated_problem_bytes_never_hit_the_warmed_entry() {
-    let (svc, memo) = prop_service();
+    let (_shards, router, memo) = warmed_gateway();
     let line = base_line(60_000, 2).replace("\"weight\":1}", "\"weight\":42}");
-    let r1 = svc.handle_line_bytes(&line);
-    assert!(r1.starts_with(b"{\"status\":\"ok\""));
+    let hits = read(&router.metrics().wire_hits);
+    let r1 = router.handle_line(&line, Instant::now());
+    assert!(r1.starts_with("{\"status\":\"ok\""), "{r1}");
+    assert_eq!(
+        read(&router.metrics().wire_hits),
+        hits,
+        "a wire hit answered"
+    );
     assert_ne!(
-        r1.as_ref(),
-        memo.as_slice(),
+        r1.as_str(),
+        memo.as_str(),
         "a different problem must get a different reply"
     );
 }

@@ -65,6 +65,22 @@ impl Flags {
             .ok_or_else(|| format!("missing required --{name}"))
     }
 
+    /// Optional typed flag: `None` when absent.
+    ///
+    /// # Errors
+    /// Message on parse failure.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|e| format!("--{name}: invalid value `{v}` ({e})"))
+            })
+            .transpose()
+    }
+
     /// Optional typed flag with a default.
     ///
     /// # Errors
@@ -73,12 +89,7 @@ impl Flags {
     where
         T::Err: std::fmt::Display,
     {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|e| format!("--{name}: invalid value `{v}` ({e})")),
-        }
+        Ok(self.parsed(name)?.unwrap_or(default))
     }
 
     /// Names of value-flags that were provided (for unknown-flag checks).

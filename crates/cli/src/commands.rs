@@ -10,31 +10,29 @@ use hetsched_dag::Dag;
 use hetsched_metrics::gantt::{to_svg, GanttStyle};
 use hetsched_metrics::{bounds, slr, speedup};
 use hetsched_platform::{System, SystemSpec};
+use hetsched_serve::{Request, RequestOptions, TraceCtx};
 use hetsched_sim::{simulate, Noise, SimConfig};
 
 use crate::args::{check_allowed, Flags};
 use crate::CliError;
 
-fn load_dag(path: &str) -> Result<Dag, CliError> {
+/// Read and parse a JSON file.
+fn read_json<T: serde::de::DeserializeOwned>(path: &str) -> Result<T, CliError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| CliError(format!("reading {path}: {e}")))?;
-    let spec: DagSpec = serde_json::from_str(&text)?;
-    spec.build()
+    Ok(serde_json::from_str(&text)?)
+}
+
+fn load_dag(path: &str) -> Result<Dag, CliError> {
+    read_json::<DagSpec>(path)?
+        .build()
         .map_err(|e| CliError(format!("invalid DAG in {path}: {e}")))
 }
 
 fn load_system(path: &str, dag: &Dag) -> Result<System, CliError> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| CliError(format!("reading {path}: {e}")))?;
-    let spec: SystemSpec = serde_json::from_str(&text)?;
-    spec.build(dag)
+    read_json::<SystemSpec>(path)?
+        .build(dag)
         .map_err(|e| CliError(format!("invalid system in {path}: {e}")))
-}
-
-fn load_schedule(path: &str) -> Result<Schedule, CliError> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| CliError(format!("reading {path}: {e}")))?;
-    Ok(serde_json::from_str(&text)?)
 }
 
 /// `generate` — build a workload and write its [`DagSpec`] JSON.
@@ -476,7 +474,7 @@ pub fn validate_cmd(flags: &Flags) -> Result<String, CliError> {
     check_allowed(flags, &["dag", "system", "schedule"])?;
     let dag = load_dag(flags.require("dag")?)?;
     let sys = load_system(flags.require("system")?, &dag)?;
-    let sched = load_schedule(flags.require("schedule")?)?;
+    let sched: Schedule = read_json(flags.require("schedule")?)?;
     match validate(&dag, &sys, &sched) {
         Ok(()) => Ok(format!(
             "schedule is valid: makespan {:.4}, {} tasks on {} processors\n",
@@ -504,7 +502,7 @@ pub fn simulate_cmd(flags: &Flags) -> Result<String, CliError> {
     )?;
     let dag = load_dag(flags.require("dag")?)?;
     let sys = load_system(flags.require("system")?, &dag)?;
-    let sched = load_schedule(flags.require("schedule")?)?;
+    let sched: Schedule = read_json(flags.require("schedule")?)?;
     validate(&dag, &sys, &sched).map_err(|e| CliError(format!("schedule INVALID: {e}")))?;
 
     let exec_cv: f64 = flags.get_or("exec-cv", 0.0)?;
@@ -775,102 +773,35 @@ pub fn request(flags: &Flags) -> Result<String, CliError> {
     )?;
     let addr = flags.require("addr")?;
     let op = flags.get("op").unwrap_or("schedule");
-    let line = match op {
-        "hello" => r#"{"op":"hello"}"#.to_string(),
-        "stats" => r#"{"op":"stats"}"#.to_string(),
-        "metrics" => r#"{"op":"metrics"}"#.to_string(),
-        "journal" => r#"{"op":"journal"}"#.to_string(),
-        "shutdown" => r#"{"op":"shutdown"}"#.to_string(),
-        "schedule" => {
-            let read_json = |path: &str| -> Result<serde_json::Value, CliError> {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| CliError(format!("reading {path}: {e}")))?;
-                Ok(serde_json::from_str(&text)?)
-            };
-            let dag = read_json(flags.require("dag")?)?;
-            let system = read_json(flags.require("system")?)?;
-            let mut options = serde_json::Map::new();
-            if flags.has("simulate") {
-                options.insert("simulate", serde_json::Value::Bool(true));
-            }
-            if flags.has("trace") {
-                options.insert("trace", serde_json::Value::Bool(true));
-            }
-            if let Some(ms) = flags.get("deadline-ms") {
-                let ms: u64 = ms
-                    .parse()
-                    .map_err(|e| CliError(format!("--deadline-ms: invalid value `{ms}` ({e})")))?;
-                options.insert("deadline_ms", serde_json::to_value(ms)?);
-            }
-            if let Some(j) = flags.get("jobs") {
-                let j: usize = j
-                    .parse()
-                    .map_err(|e| CliError(format!("--jobs: invalid value `{j}` ({e})")))?;
-                options.insert("jobs", serde_json::to_value(j)?);
-            }
-            if let Some(ctx) = trace_ctx_option(flags) {
-                options.insert("trace_ctx", ctx);
-            }
-            let mut req = serde_json::Map::new();
-            req.insert("op", serde_json::Value::String("schedule".into()));
-            req.insert("dag", dag);
-            req.insert("system", system);
-            req.insert(
-                "algorithm",
-                serde_json::Value::String(flags.require("alg")?.into()),
-            );
-            req.insert("options", serde_json::Value::Object(options));
-            serde_json::to_string(&serde_json::Value::Object(req))?
-        }
-        "portfolio" => {
-            let read_json = |path: &str| -> Result<serde_json::Value, CliError> {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| CliError(format!("reading {path}: {e}")))?;
-                Ok(serde_json::from_str(&text)?)
-            };
-            let dag = read_json(flags.require("dag")?)?;
-            let system = read_json(flags.require("system")?)?;
+    let req = match op {
+        "hello" => Request::Hello,
+        "stats" => Request::Stats,
+        "metrics" => Request::Metrics,
+        "journal" => Request::Journal,
+        "shutdown" => Request::Shutdown,
+        "schedule" => Request::Schedule {
+            dag: read_json(flags.require("dag")?)?,
+            system: read_json(flags.require("system")?)?,
+            algorithm: flags.require("alg")?.to_string(),
+            options: request_options(flags)?,
+        },
+        "portfolio" => Request::Portfolio {
+            dag: read_json(flags.require("dag")?)?,
+            system: read_json(flags.require("system")?)?,
             // empty --algs (or none) means "every registered algorithm"
-            let algorithms: Vec<serde_json::Value> = flags
+            algorithms: flags
                 .get("algs")
                 .map(|s| {
                     s.split(',')
                         .map(str::trim)
                         .filter(|p| !p.is_empty())
-                        .map(|p| serde_json::Value::String(p.into()))
+                        .map(String::from)
                         .collect()
                 })
-                .unwrap_or_default();
-            let mut options = serde_json::Map::new();
-            if let Some(ms) = flags.get("deadline-ms") {
-                let ms: u64 = ms
-                    .parse()
-                    .map_err(|e| CliError(format!("--deadline-ms: invalid value `{ms}` ({e})")))?;
-                options.insert("deadline_ms", serde_json::to_value(ms)?);
-            }
-            if let Some(j) = flags.get("jobs") {
-                let j: usize = j
-                    .parse()
-                    .map_err(|e| CliError(format!("--jobs: invalid value `{j}` ({e})")))?;
-                options.insert("jobs", serde_json::to_value(j)?);
-            }
-            if let Some(ctx) = trace_ctx_option(flags) {
-                options.insert("trace_ctx", ctx);
-            }
-            let mut req = serde_json::Map::new();
-            req.insert("op", serde_json::Value::String("portfolio".into()));
-            req.insert("dag", dag);
-            req.insert("system", system);
-            req.insert("algorithms", serde_json::Value::Array(algorithms));
-            req.insert("options", serde_json::Value::Object(options));
-            serde_json::to_string(&serde_json::Value::Object(req))?
-        }
+                .unwrap_or_default(),
+            options: request_options(flags)?,
+        },
         "patch" => {
-            let read_json = |path: &str| -> Result<serde_json::Value, CliError> {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| CliError(format!("reading {path}: {e}")))?;
-                Ok(serde_json::from_str(&text)?)
-            };
             // Deltas come from a file (like --dag/--system) or inline JSON:
             // a value starting with `[` is parsed directly.
             let deltas_arg = flags.require("deltas")?;
@@ -879,41 +810,12 @@ pub fn request(flags: &Flags) -> Result<String, CliError> {
             } else {
                 read_json(deltas_arg)?
             };
-            let mut options = serde_json::Map::new();
-            if flags.has("simulate") {
-                options.insert("simulate", serde_json::Value::Bool(true));
+            Request::Patch {
+                parent: flags.require("parent")?.to_string(),
+                algorithm: flags.require("alg")?.to_string(),
+                deltas,
+                options: request_options(flags)?,
             }
-            if flags.has("trace") {
-                options.insert("trace", serde_json::Value::Bool(true));
-            }
-            if let Some(ms) = flags.get("deadline-ms") {
-                let ms: u64 = ms
-                    .parse()
-                    .map_err(|e| CliError(format!("--deadline-ms: invalid value `{ms}` ({e})")))?;
-                options.insert("deadline_ms", serde_json::to_value(ms)?);
-            }
-            if let Some(j) = flags.get("jobs") {
-                let j: usize = j
-                    .parse()
-                    .map_err(|e| CliError(format!("--jobs: invalid value `{j}` ({e})")))?;
-                options.insert("jobs", serde_json::to_value(j)?);
-            }
-            if let Some(ctx) = trace_ctx_option(flags) {
-                options.insert("trace_ctx", ctx);
-            }
-            let mut req = serde_json::Map::new();
-            req.insert("op", serde_json::Value::String("patch".into()));
-            req.insert(
-                "parent",
-                serde_json::Value::String(flags.require("parent")?.into()),
-            );
-            req.insert(
-                "algorithm",
-                serde_json::Value::String(flags.require("alg")?.into()),
-            );
-            req.insert("deltas", deltas);
-            req.insert("options", serde_json::Value::Object(options));
-            serde_json::to_string(&serde_json::Value::Object(req))?
         }
         other => {
             let msg = format!(
@@ -924,7 +826,7 @@ pub fn request(flags: &Flags) -> Result<String, CliError> {
         }
     };
 
-    let reply = send_line(addr, &line)?;
+    let reply = send_line(addr, &serde_json::to_string(&req)?)?;
     // The `metrics` op answers Prometheus text wrapped in the JSON
     // envelope; unwrap it so the output scrapes directly.
     if op == "metrics" {
@@ -1020,25 +922,32 @@ fn gateway_stats_table(v: &serde_json::Value) -> Option<String> {
     Some(out)
 }
 
-/// The `trace_ctx` request option for `--timing`/`--trace-id`: requests
-/// carrying it get the per-tier timing block and their spans journaled.
-/// The id is the caller's `--trace-id` if given, else derived from the
+/// The options of a `request`: `--simulate`, `--trace`, `--deadline-ms`,
+/// `--jobs`, and a trace context for `--timing`/`--trace-id` — requests
+/// carrying one get the per-tier timing block and their spans journaled.
+/// Its id is the caller's `--trace-id` if given, else derived from the
 /// wall clock.
-fn trace_ctx_option(flags: &Flags) -> Option<serde_json::Value> {
-    if !flags.has("timing") && flags.get("trace-id").is_none() {
-        return None;
-    }
-    let id = match flags.get("trace-id") {
-        Some(id) if !id.is_empty() => id.to_string(),
-        _ => {
-            let nanos = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos())
-                .unwrap_or(0);
-            format!("{:016x}", (nanos as u64) ^ ((nanos >> 64) as u64))
+fn request_options(flags: &Flags) -> Result<RequestOptions, CliError> {
+    let trace_ctx = (flags.has("timing") || flags.get("trace-id").is_some()).then(|| {
+        match flags.get("trace-id") {
+            Some(id) if !id.is_empty() => TraceCtx::new(id),
+            _ => {
+                let nanos = std::time::SystemTime::now()
+                    .duration_since(std::time::UNIX_EPOCH)
+                    .map(|d| d.as_nanos())
+                    .unwrap_or(0);
+                TraceCtx::new(format!("{:016x}", (nanos as u64) ^ ((nanos >> 64) as u64)))
+            }
         }
-    };
-    Some(serde_json::json!({ "trace_id": id }))
+    });
+    Ok(RequestOptions {
+        simulate: flags.has("simulate"),
+        trace: flags.has("trace"),
+        deadline_ms: flags.parsed("deadline-ms")?,
+        jobs: flags.parsed("jobs")?,
+        trace_ctx,
+        ..RequestOptions::default()
+    })
 }
 
 /// `algorithms` — list registry names.
@@ -1287,6 +1196,20 @@ mod tests {
     }
 
     #[test]
+    fn request_refuses_a_malformed_spec_before_sending() {
+        let dag_path = tmp("req-bad-dag.json");
+        let sys_path = tmp("req-bad-sys.json");
+        std::fs::write(&dag_path, r#"{"tasks": "none"}"#).unwrap();
+        write_system(&sys_path);
+        // Nothing listens on port 1: the error must come before any send.
+        let err = request(&argv(&format!(
+            "--addr 127.0.0.1:1 --dag {dag_path} --system {sys_path} --alg HEFT"
+        )))
+        .unwrap_err();
+        assert!(err.0.starts_with("JSON error"), "{err}");
+    }
+
+    #[test]
     fn request_round_trip_against_daemon() {
         let dag_path = tmp("req-dag.json");
         let sys_path = tmp("req-sys.json");
@@ -1432,7 +1355,7 @@ mod tests {
         assert!(msg.contains("best: "), "{msg}");
 
         // the written schedule is the winner and validates
-        let sched = load_schedule(&sched_path).unwrap();
+        let sched: Schedule = read_json(&sched_path).unwrap();
         let dag = load_dag(&dag_path).unwrap();
         let sys = load_system(&sys_path, &dag).unwrap();
         assert_eq!(validate(&dag, &sys, &sched), Ok(()));

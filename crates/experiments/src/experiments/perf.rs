@@ -247,7 +247,7 @@ fn serve_entries(cfg: &Config, reps: usize) -> Vec<BenchEntry> {
             instance_cache_capacity: 8,
             default_deadline_ms: 60_000,
         });
-        let resp = svc.handle_line(&line);
+        let resp = svc.handle_line_bytes(&line);
         svc.shutdown();
         resp
     });
@@ -263,12 +263,10 @@ fn serve_entries(cfg: &Config, reps: usize) -> Vec<BenchEntry> {
 }
 
 /// The repeat path of a shard: one warmed daemon answers the same n = 50
-/// schedule request two ways. The `memo-hit` entry is the typed round
-/// trip — `handle_line` parses the JSON, hits the result memo, and
-/// re-serializes the reply per call. The `fallback` entry (named when it
-/// measured the path a wire-cache miss fell back to; the baselines key
-/// it so) is `handle_line_bytes`, the transport's path: full parse, memo
-/// hit, preserialized reply bytes.
+/// schedule request through `handle_line_bytes`, the shard's one request
+/// path: full parse, memo hit, preserialized reply bytes. The `fallback`
+/// id was named when it measured the path a wire-cache miss fell back
+/// to; the baselines key it so.
 fn wire_entries(cfg: &Config, reps: usize) -> Vec<BenchEntry> {
     let reps = reps.max(15);
     let n = 50usize;
@@ -314,16 +312,10 @@ fn wire_entries(cfg: &Config, reps: usize) -> Vec<BenchEntry> {
         min_ns,
         reps,
     };
-    let out = vec![
-        entry(
-            format!("wire/n{n}/memo-hit"),
-            bench(reps, || svc.handle_line(&line).to_line()),
-        ),
-        entry(
-            format!("wire/n{n}/fallback"),
-            bench(reps, || svc.handle_line_bytes(&line)),
-        ),
-    ];
+    let out = vec![entry(
+        format!("wire/n{n}/fallback"),
+        bench(reps, || svc.handle_line_bytes(&line)),
+    )];
     svc.shutdown();
     out
 }
@@ -449,7 +441,7 @@ fn serve_portfolio_entries(cfg: &Config, reps: usize) -> Vec<BenchEntry> {
             format!("serve-portfolio/n{n}/4algs"),
             bench(reps, || {
                 let svc = fresh_service();
-                let resp = svc.handle_line(&portfolio_line);
+                let resp = svc.handle_line_bytes(&portfolio_line);
                 svc.shutdown();
                 resp
             }),
@@ -460,7 +452,7 @@ fn serve_portfolio_entries(cfg: &Config, reps: usize) -> Vec<BenchEntry> {
                 let svc = fresh_service();
                 let mut out = Vec::with_capacity(ALGS.len());
                 for line in &schedule_lines {
-                    out.push(svc.handle_line(line));
+                    out.push(svc.handle_line_bytes(line));
                 }
                 svc.shutdown();
                 out
@@ -567,7 +559,7 @@ fn many_entries(cfg: &Config, reps: usize) -> Vec<BenchEntry> {
                 let svc = fresh_service();
                 let mut out = Vec::with_capacity(schedule_lines.len());
                 for line in &schedule_lines {
-                    out.push(svc.handle_line(line));
+                    out.push(svc.handle_line_bytes(line));
                 }
                 svc.shutdown();
                 out
@@ -577,7 +569,7 @@ fn many_entries(cfg: &Config, reps: usize) -> Vec<BenchEntry> {
             format!("many/n{n}x{batch}/serve-batch"),
             bench(reps, || {
                 let svc = fresh_service();
-                let resp = svc.handle_line(&many_line);
+                let resp = svc.handle_line_bytes(&many_line);
                 svc.shutdown();
                 resp
             }),

@@ -221,7 +221,7 @@ impl Conn {
         };
         write_line(&mut writer, &mut self.scratch, line.as_bytes(), WRITE_STALL).map_err(|e| {
             if e.kind() == ErrorKind::WriteZero && Instant::now() >= deadline_at {
-                io::Error::new(ErrorKind::TimedOut, "deadline passed writing to the shard")
+                io::Error::new(ErrorKind::TimedOut, Unsent)
             } else {
                 e
             }
@@ -259,6 +259,27 @@ impl Conn {
                 Err(e) => return Err(e),
             }
         }
+    }
+}
+
+/// The payload of the `TimedOut` error a round trip fails with when the
+/// deadline passes before the whole request is written: the shard never
+/// received it, so it computes and caches nothing for it.
+#[derive(Debug)]
+pub(crate) struct Unsent;
+
+impl std::fmt::Display for Unsent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("deadline passed writing to the shard")
+    }
+}
+
+impl std::error::Error for Unsent {}
+
+impl Unsent {
+    /// Whether `e` is a round trip's [`Unsent`] timeout.
+    pub(crate) fn is(e: &io::Error) -> bool {
+        e.get_ref().is_some_and(|inner| inner.is::<Unsent>())
     }
 }
 

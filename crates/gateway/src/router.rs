@@ -37,7 +37,7 @@ use hetsched_serve::protocol::{
 };
 use hetsched_serve::wire::{self, WireScan};
 
-use crate::backend::Backend;
+use crate::backend::{Backend, Unsent};
 use crate::metrics::{bump, read, GatewayMetrics, ShardSnapshot};
 use crate::singleflight::{Flight, SingleFlight};
 use crate::GatewayConfig;
@@ -747,9 +747,10 @@ impl Router {
                     return reply;
                 }
                 Err(e) if e.kind() == io::ErrorKind::TimedOut => {
-                    // The shard is alive but slow; its computation keeps
-                    // running and will populate its caches, so this is a
-                    // timeout, not a failover.
+                    // The shard is alive but slow, so this is a timeout,
+                    // not a failover. A request it received keeps
+                    // computing and will populate its caches; one it never
+                    // received in full will not.
                     scratch.span(
                         "backend",
                         scratch.off(sent_at),
@@ -757,13 +758,18 @@ impl Router {
                         format!("{} timeout", backend.addr()),
                     );
                     bump(&self.metrics.timeouts);
-                    return Response::Timeout {
-                        message: format!(
+                    let message = if Unsent::is(&e) {
+                        format!(
+                            "shard {} did not take the whole request within the deadline",
+                            backend.addr()
+                        )
+                    } else {
+                        format!(
                             "shard {} did not reply within the deadline; an identical retry may hit its cache",
                             backend.addr()
-                        ),
-                    }
-                    .to_line();
+                        )
+                    };
+                    return Response::Timeout { message }.to_line();
                 }
                 Err(e) => {
                     scratch.span(

@@ -3,7 +3,8 @@
 use serde::{Deserialize, Serialize};
 
 /// Summary of a sample: count, mean, standard deviation (sample, n−1),
-/// min, max, and a 95% normal-approximation confidence half-width.
+/// min, max, and the half-width of a 95% Student's t confidence interval
+/// for the mean.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
     /// Number of samples.
@@ -16,7 +17,9 @@ pub struct Summary {
     pub min: f64,
     /// Largest sample.
     pub max: f64,
-    /// 95% confidence half-width (`1.96 · std / √n`; 0 for n < 2).
+    /// 95% confidence half-width, `t · std / √n` with `t` the 0.975
+    /// quantile of Student's t at n − 1 degrees of freedom (12.706 at
+    /// n = 2, 2.776 at n = 5, the normal 1.96 beyond 30); 0 for n < 2.
     pub ci95: f64,
 }
 
@@ -40,7 +43,7 @@ impl Summary {
         let ci95 = if n < 2 {
             0.0
         } else {
-            1.96 * std / (n as f64).sqrt()
+            t975(n - 1) * std / (n as f64).sqrt()
         };
         Summary {
             n,
@@ -51,6 +54,17 @@ impl Summary {
             ci95,
         }
     }
+}
+
+/// The 0.975 quantile of Student's t at `df` ≥ 1 degrees of freedom:
+/// tabulated to 30, and the normal quantile 1.96 beyond.
+fn t975(df: usize) -> f64 {
+    const T: [f64; 30] = [
+        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
+        2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
+        2.052, 2.048, 2.045, 2.042,
+    ];
+    T.get(df - 1).copied().unwrap_or(1.96)
 }
 
 /// Geometric mean of strictly positive samples — the right way to average
@@ -80,6 +94,21 @@ mod tests {
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 9.0);
         assert!(s.ci95 > 0.0);
+    }
+
+    #[test]
+    fn ci95_uses_the_t_quantile_for_the_sample_size() {
+        // (n, 0.975 quantile of t at n − 1 degrees of freedom)
+        for (n, t) in [(2, 12.706), (5, 2.776), (31, 2.042), (1000, 1.96)] {
+            let xs: Vec<f64> = (0..n).map(|i| (i % 3) as f64).collect();
+            let s = Summary::of(&xs);
+            let want = t * s.std / (n as f64).sqrt();
+            assert!(
+                (s.ci95 - want).abs() < 1e-12,
+                "n = {n}: {} vs {want}",
+                s.ci95
+            );
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Routing layer: request validation, memoization, deadlines, and
 //! admission to the bounded worker queue.
 //!
-//! Life of a `schedule` request:
+//! Every request line takes one path, [`Service::handle_line_bytes`];
+//! [`Service::handle_line`] only decodes the bytes it returns. Life of a
+//! `schedule` request:
 //!
 //! 1. The submitting thread (a TCP connection thread or the stdin loop)
 //!    parses and validates the request, builds the `Dag`/`System`, and
 //!    computes the request's content fingerprint.
-//! 2. On a cache hit the response is returned immediately (`cached: true`).
+//! 2. On a memo hit the entry's preserialized reply line is returned
+//!    immediately (`cached: true`).
 //! 3. Otherwise the job goes into a bounded crossbeam channel. A full
 //!    queue answers `busy` right away — backpressure is explicit, never
 //!    an unbounded pile-up.
@@ -18,13 +21,17 @@
 //!    `timeout` if it passes. The worker still finishes and populates the
 //!    cache, so an identical retry can hit.
 //!
+//! `patch` ends the same way. `portfolio` and `schedule_many` fan out:
+//! they submit every member, then await each in order, and the first
+//! failure answers for the whole request.
+//!
 //! Shutdown is drain-then-exit: [`Service::shutdown`] closes the queue,
 //! lets workers finish every queued job (replies included), then joins
 //! them.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -33,8 +40,7 @@ use parking_lot::Mutex;
 
 use hetsched_core::{algorithms, repairable, Delta, ProblemInstance, Scheduler};
 use hetsched_dag::io::DagSpec;
-use hetsched_dag::Dag;
-use hetsched_platform::{System, SystemSpec};
+use hetsched_platform::SystemSpec;
 
 use crate::cache::LruCache;
 use crate::journal::Journal;
@@ -60,7 +66,8 @@ pub struct ServeConfig {
     /// in algorithm or options share one instance — and its memoized rank
     /// vectors.
     pub instance_cache_capacity: usize,
-    /// Deadline applied when a request carries no `deadline_ms`.
+    /// Deadline applied when a request carries no `deadline_ms`. It also
+    /// caps a request's `debug_sleep_ms`.
     pub default_deadline_ms: u64,
 }
 
@@ -80,9 +87,9 @@ impl Default for ServeConfig {
 }
 
 /// One reply-memo entry: the computed body plus its hit's reply line,
-/// serialized **once** — lazily, on the first bytes-path hit, so a
-/// one-shot compute pays nothing for a repeat that never comes. Every
-/// later bytes-path hit clones the `Arc` and re-serializes nothing.
+/// serialized **once** — lazily, on the first hit that answers with it,
+/// so a one-shot compute pays nothing for a repeat that never comes.
+/// Every later hit clones the `Arc` and re-serializes nothing.
 pub(crate) struct MemoEntry {
     /// The body as computed (`cached: false`).
     pub(crate) body: ScheduleBody,
@@ -99,7 +106,7 @@ impl MemoEntry {
     }
 
     /// The body a memo hit answers: the computed one with `cached: true`.
-    /// Typed hits (tracing, portfolio and batch composition) clone it.
+    /// Traced hits and fan-out members clone it.
     fn hit_body(&self) -> ScheduleBody {
         ScheduleBody {
             cached: true,
@@ -108,8 +115,7 @@ impl MemoEntry {
     }
 
     /// `Response::schedule` of [`MemoEntry::hit_body`], serialized on the
-    /// first call: exactly the line a typed memo hit would produce.
-    /// Concurrent first callers wait for one serialization.
+    /// first call. Concurrent first callers wait for one serialization.
     fn hit_line(&self) -> Arc<[u8]> {
         self.line
             .get_or_init(|| {
@@ -129,9 +135,26 @@ pub(crate) struct Shared {
     pub(crate) cache: Mutex<LruCache<Arc<MemoEntry>>>,
     pub(crate) instances: Mutex<LruCache<Arc<ProblemInstance<'static>>>>,
     pub(crate) shutting: AtomicBool,
+    /// Ends every [`Shared::debug_sleep`] when shutdown begins.
+    wake: (std::sync::Mutex<()>, Condvar),
     /// Bounded span journal for traced requests, drained by the
     /// `journal` op. Untraced requests never touch it.
     pub(crate) journal: Journal,
+}
+
+impl Shared {
+    /// Sleep for a request's `debug_sleep_ms`, but no longer than the
+    /// configured `default_deadline_ms` and not past the start of
+    /// shutdown: no client can hold a worker, or the shutdown drain,
+    /// longer than a request may run by default.
+    pub(crate) fn debug_sleep(&self, asked: Duration) {
+        let cap = Duration::from_millis(self.config.default_deadline_ms);
+        let (gate, woken) = &self.wake;
+        let held = gate.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = woken.wait_timeout_while(held, asked.min(cap), |_| {
+            !self.shutting.load(Ordering::SeqCst)
+        });
+    }
 }
 
 /// The resident scheduling service. Cheap to share behind an `Arc`; every
@@ -178,6 +201,7 @@ impl Service {
             instances: Mutex::new(LruCache::new(config.instance_cache_capacity)),
             metrics: ServiceMetrics::new(),
             shutting: AtomicBool::new(false),
+            wake: Default::default(),
             journal: Journal::default(),
             config,
         });
@@ -211,10 +235,21 @@ impl Service {
 
     /// Request graceful shutdown without blocking: new `schedule` requests
     /// are refused, in-flight ones keep running until [`Service::shutdown`]
-    /// drains them. The first call also wakes a TCP accept loop with one
-    /// loopback connect.
+    /// drains them, and every `debug_sleep_ms` ends now. The first call
+    /// also wakes a TCP accept loop with one loopback connect.
     pub fn begin_shutdown(&self) {
         let first = !self.shared.shutting.swap(true, Ordering::SeqCst);
+        {
+            // Holding the gate orders this wake after any sleeper's check
+            // of `shutting`, so none sleeps on.
+            let _gate = self
+                .shared
+                .wake
+                .0
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.shared.wake.1.notify_all();
+        }
         if let Some(addr) = self.wake_addr.get().filter(|_| first) {
             let _ = TcpStream::connect_timeout(addr, Duration::from_secs(1));
         }
@@ -231,32 +266,33 @@ impl Service {
         }
     }
 
-    /// Handle one NDJSON request line, returning the response (never
-    /// panics, never blocks past the request deadline).
-    pub fn handle_line(&self, line: &str) -> Response {
-        self.parse_and_handle(line, false).into_response()
-    }
-
-    /// Handle one NDJSON request line, returning the reply line's bytes:
-    /// the transport's path. A repeat is a memo hit answered with the
-    /// entry's preserialized line (its `Arc`, no serialization); anything
-    /// else is serialized on the spot.
+    /// Handle one NDJSON request line, returning the reply line's bytes
+    /// (no trailing newline): the one request path, which the transport
+    /// takes. A repeat is a memo hit answered with the entry's
+    /// preserialized line (its `Arc`, no serialization); anything else is
+    /// serialized on the spot. Never panics, never blocks past the
+    /// request deadline.
     pub fn handle_line_bytes(&self, line: &str) -> Arc<[u8]> {
-        self.parse_and_handle(line, true).into_bytes()
-    }
-
-    fn parse_and_handle(&self, line: &str, want_bytes: bool) -> Reply {
         let arrival = Instant::now();
-        match Request::parse(line) {
+        let reply = match Request::parse(line) {
             Ok(req) => {
                 let parse_us = arrival.elapsed().as_micros() as u64;
-                self.handle_at(req, LineMeta { arrival, parse_us }, want_bytes)
+                self.handle_at(req, LineMeta { arrival, parse_us })
             }
-            Err(e) => {
-                ServiceMetrics::bump(&self.shared.metrics.errors);
-                Reply::Typed(Response::error(format!("bad request: {e}")))
-            }
+            Err(e) => Reply::Typed(self.error(format!("bad request: {e}"))),
+        };
+        match reply {
+            Reply::Bytes(bytes) => bytes,
+            Reply::Typed(resp) => resp.to_line().into_bytes().into(),
         }
+    }
+
+    /// [`Service::handle_line_bytes`], decoded: the response exactly as a
+    /// client reads it.
+    pub fn handle_line(&self, line: &str) -> Response {
+        let bytes = self.handle_line_bytes(line);
+        let text = std::str::from_utf8(&bytes).expect("reply lines are UTF-8 JSON");
+        serde_json::from_str(text).expect("reply lines are serialized Responses")
     }
 
     /// The reply to a line that cannot be read as a request (see
@@ -264,87 +300,78 @@ impl Service {
     /// [`crate::protocol::LINE_TOO_LONG`]): a structured `error` carrying
     /// `message`, counted like any other bad request.
     pub fn error_reply(&self, message: &str) -> Arc<[u8]> {
+        self.error(message).to_line().into_bytes().into()
+    }
+
+    /// An `error` response, counted.
+    fn error(&self, message: impl Into<String>) -> Response {
         ServiceMetrics::bump(&self.shared.metrics.errors);
-        Response::error(message).to_line().into_bytes().into()
+        Response::error(message)
     }
 
-    /// Handle one parsed request.
-    pub fn handle(&self, req: Request) -> Response {
-        self.handle_at(
-            req,
-            LineMeta {
-                arrival: Instant::now(),
-                parse_us: 0,
-            },
-            false,
-        )
-        .into_response()
-    }
-
-    fn handle_at(&self, req: Request, meta: LineMeta, want_bytes: bool) -> Reply {
-        let record = |op: &str, deadline_ms: Option<u64>, reply: &Reply| {
-            if let Some(status) = reply.status() {
-                self.record_outcome(op, deadline_ms, meta.arrival, status);
+    fn handle_at(&self, req: Request, meta: LineMeta) -> Reply {
+        let (op, deadline_ms, reply) = match req {
+            Request::Hello => return Reply::Typed(Response::hello(self.hello_body())),
+            Request::Stats => return Reply::Typed(Response::stats(self.stats_body())),
+            Request::Metrics => return Reply::Typed(Response::metrics(self.metrics_text())),
+            Request::Journal => {
+                return Reply::Typed(Response::journal(JournalBody {
+                    source: "shard".to_string(),
+                    spans: self.shared.journal.drain(),
+                }))
             }
-        };
-        match req {
-            Request::Hello => Reply::Typed(Response::hello(self.hello_body())),
-            Request::Stats => Reply::Typed(Response::stats(self.stats_body())),
-            Request::Metrics => Reply::Typed(Response::metrics(self.metrics_text())),
-            Request::Journal => Reply::Typed(Response::journal(JournalBody {
-                source: "shard".to_string(),
-                spans: self.shared.journal.drain(),
-            })),
             Request::Shutdown => {
                 self.begin_shutdown();
-                Reply::Typed(Response::ShuttingDown)
+                return Reply::Typed(Response::ShuttingDown);
             }
+            // Every op below schedules, and none starts once shutdown has
+            // begun.
+            _ if self.is_shutting_down() => return Reply::Typed(Response::ShuttingDown),
             Request::Schedule {
                 dag,
                 system,
                 algorithm,
                 options,
-            } => {
-                let deadline_ms = options.deadline_ms;
-                let reply = self.handle_schedule(dag, system, algorithm, options, meta, want_bytes);
-                record("schedule", deadline_ms, &reply);
-                reply
-            }
-            Request::Portfolio {
-                dag,
-                system,
-                algorithms,
-                options,
-            } => {
-                let deadline_ms = options.deadline_ms;
-                let reply =
-                    Reply::Typed(self.handle_portfolio(dag, system, algorithms, options, meta));
-                record("portfolio", deadline_ms, &reply);
-                reply
-            }
-            Request::ScheduleMany {
-                instances,
-                algorithm,
-                options,
-            } => {
-                let deadline_ms = options.deadline_ms;
-                let reply = Reply::Typed(self.handle_many(instances, algorithm, options, meta));
-                record("schedule_many", deadline_ms, &reply);
-                reply
-            }
+            } => (
+                "schedule",
+                options.deadline_ms,
+                self.handle_schedule(dag, system, algorithm, options, meta),
+            ),
             Request::Patch {
                 parent,
                 algorithm,
                 deltas,
                 options,
-            } => {
-                let deadline_ms = options.deadline_ms;
-                let reply =
-                    self.handle_patch(&parent, algorithm, &deltas, options, meta, want_bytes);
-                record("patch", deadline_ms, &reply);
-                reply
-            }
+            } => (
+                "patch",
+                options.deadline_ms,
+                self.handle_patch(&parent, algorithm, &deltas, options, meta),
+            ),
+            Request::Portfolio {
+                dag,
+                system,
+                algorithms,
+                options,
+            } => (
+                "portfolio",
+                options.deadline_ms,
+                self.handle_portfolio(dag, system, algorithms, options, meta),
+            ),
+            Request::ScheduleMany {
+                instances,
+                algorithm,
+                options,
+            } => (
+                "schedule_many",
+                options.deadline_ms,
+                self.handle_many(instances, algorithm, options, meta),
+            ),
+        };
+        let reply = reply.unwrap_or_else(Reply::Typed);
+        if let Some(status) = reply.status() {
+            self.record_outcome(op, deadline_ms, meta.arrival, status);
         }
+        reply
     }
 
     /// Record the end-of-request SLO accounting in one place: the
@@ -478,26 +505,43 @@ impl Service {
         self.shared.metrics.render_prometheus(&gauges)
     }
 
-    /// Build the `Dag` and `System` from their wire specs, reporting
-    /// protocol errors uniformly.
+    /// Build the problem instance from its wire specs, reporting protocol
+    /// errors uniformly.
     #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
-    fn build_problem(&self, dag: DagSpec, system: SystemSpec) -> Result<(Dag, System), Response> {
-        let m = &self.shared.metrics;
-        let dag = match dag.build() {
-            Ok(d) => d,
-            Err(e) => {
-                ServiceMetrics::bump(&m.errors);
-                return Err(Response::error(format!("invalid dag: {e}")));
-            }
-        };
-        let sys = match system.build(&dag) {
-            Ok(s) => s,
-            Err(e) => {
-                ServiceMetrics::bump(&m.errors);
-                return Err(Response::error(format!("invalid system: {e}")));
-            }
-        };
-        Ok((dag, sys))
+    fn build_problem(
+        &self,
+        dag: DagSpec,
+        system: SystemSpec,
+    ) -> Result<ProblemInstance<'static>, Response> {
+        let dag = dag
+            .build()
+            .map_err(|e| self.error(format!("invalid dag: {e}")))?;
+        let sys = system
+            .build(&dag)
+            .map_err(|e| self.error(format!("invalid system: {e}")))?;
+        Ok(ProblemInstance::new(dag, sys))
+    }
+
+    /// The registry scheduler `name` names, or the one `unknown
+    /// algorithm` error every scheduling op answers.
+    #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
+    fn scheduler(&self, name: &str) -> Result<Box<dyn Scheduler + Send + Sync>, Response> {
+        algorithms::by_name(name).ok_or_else(|| {
+            self.error(format!(
+                "unknown algorithm `{name}` (known: {})",
+                algorithms::known_names().join(", ")
+            ))
+        })
+    }
+
+    /// The request's deadline: its `deadline_ms`, else the configured
+    /// default.
+    fn deadline(&self, options: &RequestOptions) -> Duration {
+        Duration::from_millis(
+            options
+                .deadline_ms
+                .unwrap_or(self.shared.config.default_deadline_ms),
+        )
     }
 
     /// The shared [`ProblemInstance`] for `inst`'s problem: the cached
@@ -526,9 +570,9 @@ impl Service {
     /// Enqueue one scheduling job. With `block_until: None` a full queue
     /// answers `busy` immediately (the single-request path). With a
     /// deadline, the send blocks until a slot frees or the deadline
-    /// passes — the portfolio path, whose members arrive as one burst
-    /// that may legitimately exceed the queue capacity; the workers drain
-    /// the queue while the submitter waits.
+    /// passes — the fan-out path, whose members arrive as one burst that
+    /// may legitimately exceed the queue capacity; the workers drain the
+    /// queue while the submitter waits.
     #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
     fn enqueue(&self, job: Job, block_until: Option<Instant>) -> Result<(), Response> {
         let guard = self.tx.lock();
@@ -563,10 +607,10 @@ impl Service {
 
     /// Reply-memo lookup or job submission for one `(instance, algorithm)`
     /// pair: returns the memo entry immediately on a hit (the caller takes
-    /// its line or a typed body from it), otherwise enqueues the job and
-    /// hands back the reply channel to wait on.
+    /// its line or its body), otherwise enqueues the job and hands back
+    /// the reply channel to wait on.
     #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
-    #[allow(clippy::too_many_arguments)] // one-call-site-per-op plumbing of request state
+    #[allow(clippy::too_many_arguments)] // the one submission of every scheduling op
     fn memo_or_submit(
         &self,
         inst: &Arc<ProblemInstance<'static>>,
@@ -603,6 +647,42 @@ impl Service {
         Ok(MemberState::Pending(reply_rx))
     }
 
+    /// Wait for a submitted job's reply until the request's `deadline`,
+    /// counted from `started`. A late job keeps computing and is
+    /// memoized; the request is answered `timeout`, naming `member` — a
+    /// fan-out's member — when there is one. A pool gone before replying
+    /// answers `error`.
+    fn await_worker(
+        &self,
+        rx: &Receiver<Response>,
+        started: Instant,
+        deadline: Duration,
+        member: Option<String>,
+    ) -> Response {
+        match await_reply(rx, deadline.saturating_sub(started.elapsed())) {
+            Ok(resp) => resp,
+            Err(channel::RecvTimeoutError::Timeout) => {
+                ServiceMetrics::bump(&self.shared.metrics.timeouts);
+                let ms = deadline.as_millis();
+                let message = match member {
+                    None => format!(
+                        "deadline of {ms} ms exceeded; the schedule keeps computing and will be cached"
+                    ),
+                    Some(member) => format!(
+                        "deadline of {ms} ms exceeded waiting for {member}; members keep computing and will be cached"
+                    ),
+                };
+                Response::Timeout { message }
+            }
+            // Workers always reply, even on panic; reaching this means the
+            // pool is gone mid-request (shutdown race).
+            Err(channel::RecvTimeoutError::Disconnected) => {
+                self.error("worker pool shut down before replying")
+            }
+        }
+    }
+
+    #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
     fn handle_schedule(
         &self,
         dag: DagSpec,
@@ -610,33 +690,11 @@ impl Service {
         algorithm: String,
         options: RequestOptions,
         meta: LineMeta,
-        want_bytes: bool,
-    ) -> Reply {
-        let started = meta.arrival;
-        let m = &self.shared.metrics;
-        if self.is_shutting_down() {
-            return Reply::Typed(Response::ShuttingDown);
-        }
-
-        let (dag, sys) = match self.build_problem(dag, system) {
-            Ok(v) => v,
-            Err(resp) => return Reply::Typed(resp),
-        };
-        let Some(alg) = algorithms::by_name(&algorithm) else {
-            ServiceMetrics::bump(&m.errors);
-            return Reply::Typed(Response::error(format!(
-                "unknown algorithm `{algorithm}` (known: {})",
-                algorithms::known_names().join(", ")
-            )));
-        };
-
-        let inst = self.instance_for(ProblemInstance::new(dag, sys));
-        let ctx = JobCtx::for_options(&options, started);
-        let state = match self.memo_or_submit(&inst, &algorithm, alg, &options, None, None, ctx) {
-            Ok(state) => state,
-            Err(resp) => return Reply::Typed(self.finalize_timing(resp, &options, meta, "none")),
-        };
-        self.finish_single(started, &algorithm, &options, meta, state, want_bytes)
+    ) -> Result<Reply, Response> {
+        let inst = self.build_problem(dag, system)?;
+        let alg = self.scheduler(&algorithm)?;
+        let inst = self.instance_for(inst);
+        Ok(self.single(&inst, &algorithm, alg, &options, meta, None))
     }
 
     /// Incrementally reschedule a cached problem: resolve `parent` through
@@ -645,6 +703,7 @@ impl Service {
     /// EFT family the worker gets a [`RepairCtx`] so it can replay the
     /// parent's unaffected placements instead of recomputing them — the
     /// response is bit-identical either way (the core repair contract).
+    #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
     fn handle_patch(
         &self,
         parent: &str,
@@ -652,47 +711,28 @@ impl Service {
         deltas: &[Delta],
         options: RequestOptions,
         meta: LineMeta,
-        want_bytes: bool,
-    ) -> Reply {
-        let started = meta.arrival;
-        let m = &self.shared.metrics;
-        if self.is_shutting_down() {
-            return Reply::Typed(Response::ShuttingDown);
-        }
-
+    ) -> Result<Reply, Response> {
         let parent_key = match u64::from_str_radix(parent, 16) {
             Ok(k) if parent.len() == 16 => k,
             _ => {
-                ServiceMetrics::bump(&m.errors);
-                return Reply::Typed(Response::error(format!(
+                return Err(self.error(format!(
                     "unknown_parent: `{parent}` is not a 16-hex-digit problem fingerprint \
                      (use the `problem` field of an earlier schedule response)"
-                )));
+                )))
             }
         };
         let Some(parent_inst) = self.shared.instances.lock().get(parent_key).cloned() else {
-            ServiceMetrics::bump(&m.errors);
-            return Reply::Typed(Response::error(format!(
+            return Err(self.error(format!(
                 "unknown_parent: no cached problem with fingerprint {parent} (never seen or \
                  evicted); re-send the full problem as a `schedule` request to re-seed the cache"
             )));
         };
-        let Some(alg) = algorithms::by_name(&algorithm) else {
-            ServiceMetrics::bump(&m.errors);
-            return Reply::Typed(Response::error(format!(
-                "unknown algorithm `{algorithm}` (known: {})",
-                algorithms::known_names().join(", ")
-            )));
-        };
-
-        let (inst, dirty) = match parent_inst.apply_deltas(deltas) {
-            Ok(patched) => (Arc::new(patched.instance.into_owned()), patched.dirty),
-            Err(e) => {
-                ServiceMetrics::bump(&m.errors);
-                return Reply::Typed(Response::error(format!("invalid delta: {e}")));
-            }
-        };
-        ServiceMetrics::bump(&m.patches);
+        let alg = self.scheduler(&algorithm)?;
+        let patched = parent_inst
+            .apply_deltas(deltas)
+            .map_err(|e| self.error(format!("invalid delta: {e}")))?;
+        let (inst, dirty) = (Arc::new(patched.instance.into_owned()), patched.dirty);
+        ServiceMetrics::bump(&self.shared.metrics.patches);
         // Register the patched problem under its own content fingerprint
         // so follow-up patches can chain off this one, exactly like a full
         // request for the patched problem would have.
@@ -723,162 +763,132 @@ impl Service {
                     parent_sched,
                 })
             });
-
-        let ctx = JobCtx::for_options(&options, started);
-        let state = match self.memo_or_submit(&inst, &algorithm, alg, &options, None, repair, ctx) {
-            Ok(state) => state,
-            Err(resp) => return Reply::Typed(self.finalize_timing(resp, &options, meta, "none")),
-        };
-        self.finish_single(started, &algorithm, &options, meta, state, want_bytes)
+        Ok(self.single(&inst, &algorithm, alg, &options, meta, repair))
     }
 
-    /// Single-request tail shared by `schedule` and `patch`: answer a memo
-    /// hit immediately — from the preserialized memo line when the caller
-    /// wants bytes and nothing per-request (timing) has to be injected —
-    /// otherwise wait for the worker under the request deadline.
-    fn finish_single(
+    /// The tail `schedule` and `patch` share: answer a memo hit at once —
+    /// untraced, with the entry's preserialized line — or submit the job
+    /// and wait for the worker under the request deadline.
+    fn single(
         &self,
-        started: Instant,
+        inst: &Arc<ProblemInstance<'static>>,
         algorithm: &str,
+        alg: Box<dyn Scheduler + Send + Sync>,
         options: &RequestOptions,
         meta: LineMeta,
-        state: MemberState,
-        want_bytes: bool,
+        repair: Option<RepairCtx>,
     ) -> Reply {
         let m = &self.shared.metrics;
-        let reply_rx = match state {
-            MemberState::Memo(entry) => {
-                m.record_algorithm(algorithm, started.elapsed());
-                if want_bytes && options.trace_ctx.is_none() {
+        let ctx = JobCtx::for_options(options, meta.arrival);
+        let resp = match self.memo_or_submit(inst, algorithm, alg, options, None, repair, ctx) {
+            Ok(MemberState::Memo(entry)) => {
+                m.record_algorithm(algorithm, meta.arrival.elapsed());
+                if options.trace_ctx.is_none() {
                     return Reply::Bytes(entry.hit_line());
                 }
                 let resp = Response::schedule(entry.hit_body());
                 return Reply::Typed(self.finalize_timing(resp, options, meta, "memo"));
             }
-            MemberState::Pending(rx) => rx,
-        };
-
-        let deadline = Duration::from_millis(
-            options
-                .deadline_ms
-                .unwrap_or(self.shared.config.default_deadline_ms),
-        );
-        let remaining = deadline.saturating_sub(started.elapsed());
-        let resp = match await_reply(&reply_rx, remaining) {
-            Ok(resp) => {
+            Ok(MemberState::Pending(rx)) => {
+                let resp = self.await_worker(&rx, meta.arrival, self.deadline(options), None);
                 if matches!(resp, Response::Ok { .. }) {
-                    m.record_algorithm(algorithm, started.elapsed());
+                    m.record_algorithm(algorithm, meta.arrival.elapsed());
                 }
                 resp
             }
-            Err(channel::RecvTimeoutError::Timeout) => {
-                ServiceMetrics::bump(&m.timeouts);
-                Response::Timeout {
-                    message: format!(
-                        "deadline of {} ms exceeded; the schedule keeps computing and will be cached",
-                        deadline.as_millis()
-                    ),
-                }
-            }
-            Err(channel::RecvTimeoutError::Disconnected) => {
-                // Workers always reply, even on panic; reaching this means
-                // the pool is gone mid-request (shutdown race).
-                ServiceMetrics::bump(&m.errors);
-                Response::error("worker pool shut down before replying")
-            }
+            Err(resp) => resp,
         };
         Reply::Typed(self.finalize_timing(resp, options, meta, "none"))
     }
 
+    /// The fan-out `portfolio` and `schedule_many` share: submit every
+    /// member, then await each in order, so the worker pool overlaps
+    /// them. Every member is an ordinary memoized job, so a later
+    /// single request for any of them hits the memo. Submission blocks
+    /// (up to the deadline) when the burst exceeds the queue capacity —
+    /// workers drain it while we wait. The bodies come back in member
+    /// order, memo hits and repeats marked `cached`. The first failure
+    /// answers for the whole request, through
+    /// [`Service::finalize_timing`] as a single op's does; a timeout names
+    /// the member `label` gives for its index and algorithm.
+    #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
+    fn fan_out(
+        &self,
+        members: Vec<Member<'_>>,
+        options: &RequestOptions,
+        meta: LineMeta,
+        label: impl Fn(usize, &str) -> String,
+    ) -> Result<Vec<ScheduleBody>, Response> {
+        let failed = |resp| self.finalize_timing(resp, options, meta, "none");
+        let deadline = self.deadline(options);
+        let deadline_at = meta.arrival + deadline;
+        // Each slot is its member's submission, or the earlier member it
+        // repeats.
+        let mut slots = Vec::with_capacity(members.len());
+        for member in members {
+            slots.push(match member {
+                Member::Run(inst, algorithm, alg) => {
+                    let block_until = Some(deadline_at);
+                    let state = self
+                        .memo_or_submit(&inst, algorithm, alg, options, block_until, None, None)
+                        .map_err(failed)?;
+                    Ok((algorithm, state))
+                }
+                Member::RepeatOf(first) => Err(first),
+            });
+        }
+        let mut bodies: Vec<ScheduleBody> = Vec::with_capacity(slots.len());
+        for (i, slot) in slots.into_iter().enumerate() {
+            let body = match slot {
+                Ok((_, MemberState::Memo(entry))) => entry.hit_body(),
+                Ok((algorithm, MemberState::Pending(rx))) => {
+                    let member = Some(label(i, algorithm));
+                    match self.await_worker(&rx, meta.arrival, deadline, member) {
+                        Response::Ok {
+                            schedule: Some(body),
+                            ..
+                        } => body,
+                        other => return Err(failed(other)),
+                    }
+                }
+                Err(first) => ScheduleBody {
+                    cached: true,
+                    ..bodies[first].clone()
+                },
+            };
+            bodies.push(body);
+        }
+        Ok(bodies)
+    }
+
+    #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
     fn handle_portfolio(
         &self,
         dag: DagSpec,
         system: SystemSpec,
-        algorithm_names: Vec<String>,
+        names: Vec<String>,
         options: RequestOptions,
         meta: LineMeta,
-    ) -> Response {
-        let started = meta.arrival;
-        let m = &self.shared.metrics;
-        if self.is_shutting_down() {
-            return Response::ShuttingDown;
-        }
-
-        let names = if algorithm_names.is_empty() {
+    ) -> Result<Reply, Response> {
+        let names = if names.is_empty() {
             algorithms::known_names()
                 .iter()
                 .map(|s| s.to_string())
                 .collect()
         } else {
-            algorithm_names
+            names
         };
-        let mut members = Vec::with_capacity(names.len());
-        for name in &names {
-            let Some(alg) = algorithms::by_name(name) else {
-                ServiceMetrics::bump(&m.errors);
-                return Response::error(format!(
-                    "unknown algorithm `{name}` (known: {})",
-                    algorithms::known_names().join(", ")
-                ));
-            };
-            members.push(alg);
-        }
-
-        let (dag, sys) = match self.build_problem(dag, system) {
-            Ok(v) => v,
-            Err(resp) => return resp,
-        };
-        let inst = self.instance_for(ProblemInstance::new(dag, sys));
-
-        let deadline = Duration::from_millis(
-            options
-                .deadline_ms
-                .unwrap_or(self.shared.config.default_deadline_ms),
-        );
-        let deadline_at = started + deadline;
-
-        // Fan the members out across the worker pool: every one is an
-        // ordinary memoized job sharing the same instance `Arc`, so a
-        // later single-algorithm request for any member hits the cache.
-        // Submission blocks (up to the deadline) when the burst exceeds
-        // the queue capacity — workers drain it while we wait.
-        let mut states = Vec::with_capacity(members.len());
-        for (name, alg) in names.iter().zip(members) {
-            match self.memo_or_submit(&inst, name, alg, &options, Some(deadline_at), None, None) {
-                Ok(state) => states.push(state),
-                Err(resp) => return self.finalize_timing(resp, &options, meta, "none"),
-            }
-        }
-        let mut bodies: Vec<ScheduleBody> = Vec::with_capacity(states.len());
-        for (name, state) in names.iter().zip(states) {
-            let body = match state {
-                MemberState::Memo(entry) => entry.hit_body(),
-                MemberState::Pending(rx) => {
-                    let remaining = deadline.saturating_sub(started.elapsed());
-                    match await_reply(&rx, remaining) {
-                        Ok(Response::Ok {
-                            schedule: Some(body),
-                            ..
-                        }) => body,
-                        Ok(other) => return other,
-                        Err(channel::RecvTimeoutError::Timeout) => {
-                            ServiceMetrics::bump(&m.timeouts);
-                            return Response::Timeout {
-                                message: format!(
-                                    "deadline of {} ms exceeded waiting for `{name}`; members keep computing and will be cached",
-                                    deadline.as_millis()
-                                ),
-                            };
-                        }
-                        Err(channel::RecvTimeoutError::Disconnected) => {
-                            ServiceMetrics::bump(&m.errors);
-                            return Response::error("worker pool shut down before replying");
-                        }
-                    }
-                }
-            };
-            bodies.push(body);
-        }
+        let algs = names
+            .iter()
+            .map(|name| self.scheduler(name))
+            .collect::<Result<Vec<_>, _>>()?;
+        let inst = self.instance_for(self.build_problem(dag, system)?);
+        let members = names
+            .iter()
+            .zip(algs)
+            .map(|(name, alg)| Member::Run(inst.clone(), name, alg))
+            .collect();
+        let mut bodies = self.fan_out(members, &options, meta, |_, name| format!("`{name}`"))?;
 
         let best = bodies
             .iter()
@@ -899,138 +909,71 @@ impl Service {
             best,
             schedule: bodies.swap_remove(best),
         });
-        self.finalize_timing(resp, &options, meta, "portfolio")
+        Ok(Reply::Typed(self.finalize_timing(
+            resp,
+            &options,
+            meta,
+            "portfolio",
+        )))
     }
 
     /// Batched scheduling: one request line carrying N `(dag, system)`
     /// instances, answered with N schedule bodies **in request order**.
-    /// Every instance is an ordinary memoized job — the reply memo is
-    /// consulted per instance, repeats *within* the batch are served
-    /// single-flight from the first occurrence, and the whole burst is
-    /// submitted before any reply is awaited so the worker pool overlaps
-    /// the members (submission blocks up to the deadline when the burst
-    /// exceeds the queue capacity, exactly like a portfolio).
+    /// Every instance is built before any is submitted, so an invalid one
+    /// answers for the batch with nothing computed. Each is then an
+    /// ordinary fan-out member — the reply memo is consulted per instance,
+    /// and repeats *within* the batch are served single-flight from the
+    /// first occurrence.
+    #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
     fn handle_many(
         &self,
         instances: Vec<InstanceSpec>,
         algorithm: String,
         options: RequestOptions,
         meta: LineMeta,
-    ) -> Response {
-        let started = meta.arrival;
-        let m = &self.shared.metrics;
-        if self.is_shutting_down() {
-            return Response::ShuttingDown;
-        }
+    ) -> Result<Reply, Response> {
         if instances.is_empty() {
-            ServiceMetrics::bump(&m.errors);
-            return Response::error("schedule_many requires at least one instance");
+            return Err(self.error("schedule_many requires at least one instance"));
         }
-        if algorithms::by_name(&algorithm).is_none() {
-            ServiceMetrics::bump(&m.errors);
-            return Response::error(format!(
-                "unknown algorithm `{algorithm}` (known: {})",
-                algorithms::known_names().join(", ")
-            ));
-        }
+        self.scheduler(&algorithm)?;
+        let built = instances
+            .into_iter()
+            .map(|spec| self.build_problem(spec.dag, spec.system))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|resp| self.finalize_timing(resp, &options, meta, "none"))?;
 
-        let deadline = Duration::from_millis(
-            options
-                .deadline_ms
-                .unwrap_or(self.shared.config.default_deadline_ms),
-        );
-        let deadline_at = started + deadline;
-
-        /// One batch member after submission: in flight (or memoized), or
-        /// a duplicate of an earlier member answered from its entry.
-        enum Member {
-            State(MemberState),
-            DupOf(usize),
-        }
-        let mut seen: Vec<(u64, usize)> = Vec::with_capacity(instances.len());
-        let mut members = Vec::with_capacity(instances.len());
-        for (i, spec) in instances.into_iter().enumerate() {
-            let (dag, sys) = match self.build_problem(spec.dag, spec.system) {
-                Ok(v) => v,
-                Err(resp) => return self.finalize_timing(resp, &options, meta, "none"),
-            };
-            let inst = ProblemInstance::new(dag, sys);
+        let mut seen: Vec<(u64, usize)> = Vec::with_capacity(built.len());
+        let mut members = Vec::with_capacity(built.len());
+        for (i, inst) in built.into_iter().enumerate() {
             let fp = request_fingerprint(&inst, &algorithm, &options);
             if let Some(&(_, first)) = seen.iter().find(|(k, _)| *k == fp) {
-                members.push(Member::DupOf(first));
+                members.push(Member::RepeatOf(first));
                 continue;
             }
             seen.push((fp, i));
-            let inst = self.instance_for(inst);
-            let alg = algorithms::by_name(&algorithm).expect("validated above");
-            match self.memo_or_submit(
-                &inst,
-                &algorithm,
-                alg,
-                &options,
-                Some(deadline_at),
-                None,
-                None,
-            ) {
-                Ok(state) => members.push(Member::State(state)),
-                Err(resp) => return self.finalize_timing(resp, &options, meta, "none"),
-            }
+            let alg = self.scheduler(&algorithm)?;
+            members.push(Member::Run(self.instance_for(inst), &algorithm, alg));
         }
+        let entries = self.fan_out(members, &options, meta, |i, _| format!("batch entry {i}"))?;
 
-        let mut cached = 0usize;
-        let mut entries: Vec<ScheduleBody> = Vec::with_capacity(members.len());
-        for (i, member) in members.into_iter().enumerate() {
-            let body = match member {
-                Member::DupOf(first) => {
-                    let mut body = entries[first].clone();
-                    body.cached = true;
-                    cached += 1;
-                    body
-                }
-                Member::State(MemberState::Memo(entry)) => {
-                    cached += 1;
-                    entry.hit_body()
-                }
-                Member::State(MemberState::Pending(rx)) => {
-                    let remaining = deadline.saturating_sub(started.elapsed());
-                    match await_reply(&rx, remaining) {
-                        Ok(Response::Ok {
-                            schedule: Some(body),
-                            ..
-                        }) => body,
-                        Ok(other) => return other,
-                        Err(channel::RecvTimeoutError::Timeout) => {
-                            ServiceMetrics::bump(&m.timeouts);
-                            return Response::Timeout {
-                                message: format!(
-                                    "deadline of {} ms exceeded waiting for batch entry {i}; members keep computing and will be cached",
-                                    deadline.as_millis()
-                                ),
-                            };
-                        }
-                        Err(channel::RecvTimeoutError::Disconnected) => {
-                            ServiceMetrics::bump(&m.errors);
-                            return Response::error("worker pool shut down before replying");
-                        }
-                    }
-                }
-            };
-            entries.push(body);
-        }
-        m.record_algorithm(&algorithm, started.elapsed());
+        self.shared
+            .metrics
+            .record_algorithm(&algorithm, meta.arrival.elapsed());
+        let cached = entries.iter().filter(|e| e.cached).count();
         let computed = entries.len() - cached;
         let resp = Response::many(ScheduleManyBody {
             entries,
             cached,
             computed,
         });
-        self.finalize_timing(resp, &options, meta, "many")
+        Ok(Reply::Typed(
+            self.finalize_timing(resp, &options, meta, "many"),
+        ))
     }
 }
 
-/// Per-line request metadata stamped by the transport-facing entry
-/// point: when the line arrived and how long it took to parse. `handle`
-/// (the parsed-request entry point) uses a zero-parse stamp.
+/// Per-line request metadata stamped by [`Service::handle_line_bytes`]:
+/// when the line arrived and how long it took to parse.
 #[derive(Clone, Copy)]
 struct LineMeta {
     arrival: Instant,
@@ -1038,16 +981,26 @@ struct LineMeta {
 }
 
 /// A request member after the memo lookup: answered by a memo entry,
-/// whose line the bytes path takes and whose body typed callers clone, or
-/// in flight on the worker pool.
+/// whose line or body the caller takes, or in flight on the worker pool.
 enum MemberState {
     Memo(Arc<MemoEntry>),
     Pending(Receiver<Response>),
 }
 
-/// One finished request, typed or preserialized. `Bytes` only ever
-/// carries a memo-hit-shaped `ok` line; everything that needs
-/// per-request mutation (timing injection, error text) stays `Typed`.
+/// One member of a `portfolio` or `schedule_many` fan-out.
+enum Member<'a> {
+    /// Run the named scheduler on the problem.
+    Run(
+        Arc<ProblemInstance<'static>>,
+        &'a str,
+        Box<dyn Scheduler + Send + Sync>,
+    ),
+    /// The same request as member `i`: answered from its body.
+    RepeatOf(usize),
+}
+
+/// One finished request: a memo hit's preserialized `ok` line, or a
+/// response to serialize.
 // Transient return value consumed immediately by the dispatcher — never
 // stored or collected, so the Typed/Bytes size gap costs nothing.
 #[allow(clippy::large_enum_variant)]
@@ -1069,28 +1022,6 @@ impl Reply {
                 Response::Error { .. } => Some(RequestStatus::Error),
                 Response::ShuttingDown => None,
             },
-        }
-    }
-
-    /// The typed response, deserializing a preserialized line if one got
-    /// this far (the typed entry points never request bytes, so this
-    /// branch is defensive).
-    fn into_response(self) -> Response {
-        match self {
-            Reply::Typed(resp) => resp,
-            Reply::Bytes(bytes) => {
-                let text = std::str::from_utf8(&bytes).expect("memo lines are UTF-8 JSON");
-                serde_json::from_str(text).expect("memo lines are serialized Responses")
-            }
-        }
-    }
-
-    /// The reply as wire bytes (no trailing newline), serializing typed
-    /// responses on the spot.
-    fn into_bytes(self) -> Arc<[u8]> {
-        match self {
-            Reply::Bytes(bytes) => bytes,
-            Reply::Typed(resp) => Arc::from(resp.to_line().into_bytes()),
         }
     }
 }
@@ -1119,6 +1050,8 @@ fn await_reply(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetsched_dag::Dag;
+    use hetsched_platform::System;
 
     fn small_request(n_tasks: usize, algorithm: &str, options: &str) -> String {
         let tasks: Vec<String> = (0..n_tasks)
@@ -1409,6 +1342,22 @@ mod tests {
             );
         }
         svc.shutdown();
+    }
+
+    #[test]
+    fn an_invalid_batch_entry_submits_nothing() {
+        let svc = Service::start(test_config());
+        // The last instance has no tasks: the batch is refused before any
+        // earlier instance reaches a worker or the memo.
+        let resp = svc.handle_line(&many_request(&[4, 5, 0], "HEFT", "{}"));
+        let Response::Error { message } = &resp else {
+            panic!("expected error, got {resp:?}");
+        };
+        assert!(message.starts_with("invalid dag"), "{message}");
+        // Shutdown drains every queued job first.
+        svc.shutdown();
+        let stats = svc.stats_body();
+        assert_eq!((stats.computed, stats.cache_entries), (0, 0));
     }
 
     #[test]
@@ -1731,6 +1680,46 @@ mod tests {
         assert!(matches!(refused, Response::ShuttingDown), "got {refused:?}");
     }
 
+    /// One worker, and a request that asks it to sleep 20 s but gives up
+    /// after 50 ms.
+    fn sleeper(default_deadline_ms: u64) -> Service {
+        let svc = Service::start(ServeConfig {
+            workers: 1,
+            queue_capacity: 2,
+            cache_capacity: 8,
+            instance_cache_capacity: 4,
+            default_deadline_ms,
+        });
+        let options = r#"{"debug_sleep_ms":20000,"deadline_ms":50}"#;
+        let resp = svc.handle_line(&small_request(4, "HEFT", options));
+        assert!(matches!(resp, Response::Timeout { .. }), "got {resp:?}");
+        svc
+    }
+
+    #[test]
+    fn shutdown_ends_a_debug_sleep() {
+        let svc = Arc::new(sleeper(10_000));
+        let (done, stopped) = std::sync::mpsc::channel();
+        let bg = svc.clone();
+        let stopper = std::thread::spawn(move || {
+            bg.shutdown();
+            let _ = done.send(());
+        });
+        stopped
+            .recv_timeout(Duration::from_secs(2))
+            .expect("shutdown returns within 2 s of a 20 s debug sleep");
+        stopper.join().unwrap();
+    }
+
+    #[test]
+    fn a_debug_sleep_ends_at_the_default_deadline() {
+        let svc = sleeper(300);
+        std::thread::sleep(Duration::from_millis(550));
+        let resp = svc.handle_line(&small_request(5, "HEFT", "{}"));
+        assert!(matches!(resp, Response::Ok { .. }), "got {resp:?}");
+        svc.shutdown();
+    }
+
     #[test]
     fn metrics_op_renders_prometheus_text() {
         let svc = Service::start(test_config());
@@ -1929,6 +1918,32 @@ mod tests {
             panic!("journal: {resp:?}");
         };
         assert!(journal.spans.is_empty(), "{:?}", journal.spans);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_traced_portfolio_that_times_out_journals_its_root_span() {
+        let svc = Service::start(test_config());
+        let options = r#"{"debug_sleep_ms":300,"deadline_ms":25,"trace_ctx":{"trace_id":"00cc00cc00cc00cc"}}"#;
+        let resp = svc.handle_line(&portfolio_request(4, &["HEFT", "CPOP"], options));
+        let Response::Timeout { message } = &resp else {
+            panic!("expected timeout, got {resp:?}");
+        };
+        assert!(message.contains("waiting for `HEFT`"), "{message}");
+        let resp = svc.handle_line(r#"{"op":"journal"}"#);
+        let Response::Ok {
+            journal: Some(journal),
+            ..
+        } = &resp
+        else {
+            panic!("journal: {resp:?}");
+        };
+        let root = journal
+            .spans
+            .iter()
+            .find(|s| s.trace_id == "00cc00cc00cc00cc" && s.name == "request")
+            .expect("the timed-out portfolio's root span");
+        assert_eq!(root.detail, "none");
         svc.shutdown();
     }
 

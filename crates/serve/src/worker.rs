@@ -116,7 +116,7 @@ fn compute(job: Job, shared: &Shared) -> Response {
         .queue_wait
         .record(dequeued.duration_since(job.enqueued));
     if let Some(ms) = job.options.debug_sleep_ms {
-        std::thread::sleep(Duration::from_millis(ms));
+        shared.debug_sleep(Duration::from_millis(ms));
     }
     if job.options.debug_panic {
         panic!("debug_panic requested by client");
@@ -216,7 +216,7 @@ fn compute(job: Job, shared: &Shared) -> Response {
         repair,
     };
     // The memo line (these bytes with `cached: true`) is serialized
-    // lazily by the first bytes-path hit, so a one-shot compute pays
+    // lazily by the first untraced hit, so a one-shot compute pays
     // nothing for a repeat that never comes.
     shared
         .cache

@@ -673,6 +673,11 @@ fn a_shard_that_stops_reading_times_out_at_the_deadline() {
     let took = sent.elapsed();
     let reply: serde_json::Value = serde_json::from_str(&reply).unwrap();
     assert_eq!(reply["status"].as_str(), Some("timeout"), "{reply:?}");
+    let message = reply["message"].as_str().unwrap();
+    assert!(
+        !message.contains("retry"),
+        "the shard never received the request, yet: {message}"
+    );
     assert!(
         took < deadline + Duration::from_secs(1),
         "the timeout came {took:?} after the request was sent"
@@ -694,6 +699,40 @@ fn a_shard_that_stops_reading_times_out_at_the_deadline() {
         .expect("the gateway drains after a stalled shard write");
     drop(release);
     stalled.join().unwrap();
+}
+
+/// A shard that reads the request and never answers times out at the
+/// deadline too, but it holds the whole request and may still compute and
+/// cache it: that timeout keeps the cached-retry hint.
+#[test]
+fn a_shard_that_never_answers_times_out_with_a_retry_hint() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let shard = listener.local_addr().unwrap().to_string();
+    let (release, held) = std::sync::mpsc::channel::<()>();
+    let silent = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(&stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        (&stream).write_all(SHARD_HELLO).unwrap();
+        // read the request, then never answer it
+        reader.read_line(&mut line).unwrap();
+        let _ = held.recv();
+    });
+    let (addr, gateway) = spawn_gateway(vec![shard]);
+    let mut c = Client::connect(addr);
+    let reply = c.roundtrip(&schedule_request(4, "HEFT", "{\"deadline_ms\":300}"));
+    assert_eq!(reply["status"].as_str(), Some("timeout"), "{reply:?}");
+    let message = reply["message"].as_str().unwrap();
+    assert!(
+        message.contains("an identical retry may hit its cache"),
+        "{message}"
+    );
+    let bye = c.roundtrip(r#"{"op":"shutdown"}"#);
+    assert_eq!(bye["status"].as_str(), Some("shutting_down"), "{bye:?}");
+    gateway.join().unwrap().unwrap();
+    drop(release);
+    silent.join().unwrap();
 }
 
 /// The deadline of the request [`a_shard_that_stops_reading_times_out_at_the_deadline`]

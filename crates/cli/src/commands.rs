@@ -736,7 +736,6 @@ pub fn gateway(flags: &Flags) -> Result<String, CliError> {
         router_threads: flags.get_or("threads", d.router_threads)?,
         default_deadline_ms: flags.get_or("deadline-ms", d.default_deadline_ms)?,
         connect_timeout_ms: flags.get_or("connect-timeout-ms", d.connect_timeout_ms)?,
-        propagate_shutdown: d.propagate_shutdown,
     };
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7070");
     let server = hetsched_gateway::GatewayServer::bind(addr, config)

@@ -67,9 +67,6 @@ pub struct GatewayConfig {
     pub default_deadline_ms: u64,
     /// Timeout for connecting to (and handshaking with) a shard.
     pub connect_timeout_ms: u64,
-    /// Forward a client `shutdown` to every shard, so one request winds
-    /// the whole deployment down. Disable when shards are shared.
-    pub propagate_shutdown: bool,
 }
 
 impl Default for GatewayConfig {
@@ -82,7 +79,6 @@ impl Default for GatewayConfig {
             router_threads: 8,
             default_deadline_ms: 30_000,
             connect_timeout_ms: 1_000,
-            propagate_shutdown: true,
         }
     }
 }

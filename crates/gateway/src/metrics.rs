@@ -11,9 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::Serialize;
 
-use hetsched_serve::metrics::{
-    escape_label, render_histogram, LatencyHistogram, OpOutcomes, StatusLatency,
-};
+use hetsched_serve::metrics::{escape_label, render_histogram, Slo};
 
 /// All gateway counters.
 #[derive(Debug, Default)]
@@ -48,14 +46,9 @@ pub struct GatewayMetrics {
     /// non-compact or escaped JSON) or that arrived during shutdown or
     /// past their deadline; routed normally without a digest.
     pub wire_fallbacks: AtomicU64,
-    /// End-to-end latency of routed requests, split by outcome
-    /// (`status` label in the exposition).
-    pub latency: StatusLatency,
-    /// Per-op request outcomes (`hetsched_gateway_op_outcomes_total`).
-    pub op_outcomes: OpOutcomes,
-    /// Remaining deadline slack when a request that carried an explicit
-    /// deadline was answered `ok`.
-    pub deadline_slack: LatencyHistogram,
+    /// Latency, per-op outcomes (`hetsched_gateway_op_outcomes_total`)
+    /// and deadline slack of routed requests and wire hits.
+    pub slo: Slo,
 }
 
 /// Point-in-time view of one backend shard, for `stats` and `metrics`.
@@ -199,12 +192,12 @@ impl GatewayMetrics {
             &|s| s.errors,
         );
 
-        self.latency.render(
+        self.slo.latency.render(
             &mut out,
             "hetsched_gateway_latency_seconds",
             "End-to-end latency of routed requests, by outcome status.",
         );
-        self.op_outcomes.render(
+        self.slo.op_outcomes.render(
             &mut out,
             "hetsched_gateway_op_outcomes_total",
             "Routed request outcomes by op and status.",
@@ -214,7 +207,7 @@ impl GatewayMetrics {
             "hetsched_gateway_deadline_slack_seconds",
             "Remaining deadline slack of ok replies that carried an explicit deadline.",
             "",
-            &self.deadline_slack,
+            &self.slo.deadline_slack,
         );
         out
     }
@@ -224,6 +217,7 @@ impl GatewayMetrics {
 mod tests {
     use super::*;
     use hetsched_serve::metrics::RequestStatus;
+    use hetsched_serve::protocol::Op;
     use std::time::Duration;
 
     #[test]
@@ -233,13 +227,18 @@ mod tests {
         bump(&m.requests);
         bump(&m.dedup_hits);
         bump(&m.sheds);
-        m.latency
+        m.slo
+            .latency
             .record(RequestStatus::Success, Duration::from_micros(300));
-        m.latency
+        m.slo
+            .latency
             .record(RequestStatus::Shed, Duration::from_micros(40));
-        m.op_outcomes.bump("schedule", RequestStatus::Success);
-        m.op_outcomes.bump("patch", RequestStatus::Shed);
-        m.deadline_slack.record(Duration::from_millis(12));
+        m.slo.op_outcomes.bump(Op::Schedule, RequestStatus::Success);
+        m.slo.op_outcomes.bump(Op::Patch, RequestStatus::Shed);
+        m.slo
+            .op_outcomes
+            .bump(Op::ScheduleMany, RequestStatus::Success);
+        m.slo.deadline_slack.record(Duration::from_millis(12));
         bump(&m.wire_hits);
         bump(&m.wire_misses);
         bump(&m.wire_misses);
@@ -280,6 +279,8 @@ mod tests {
             "hetsched_gateway_op_outcomes_total{op=\"schedule\",status=\"success\"} 1",
             "hetsched_gateway_op_outcomes_total{op=\"patch\",status=\"shed\"} 1",
             "hetsched_gateway_op_outcomes_total{op=\"portfolio\",status=\"error\"} 0",
+            "hetsched_gateway_op_outcomes_total{op=\"schedule_many\",status=\"success\"} 1",
+            "hetsched_gateway_op_outcomes_total{op=\"schedule_many\",status=\"shed\"} 0",
             "hetsched_gateway_deadline_slack_seconds_count 1",
         ] {
             assert!(text.contains(family), "missing `{family}` in:\n{text}");

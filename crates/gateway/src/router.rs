@@ -26,14 +26,14 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::RecvTimeoutError;
 use parking_lot::Mutex;
 
-use hetsched_core::{Delta, ProblemInstance};
+use hetsched_core::Delta;
 use hetsched_dag::Fingerprint;
 use hetsched_serve::cache::LruCache;
 use hetsched_serve::journal::Journal;
 use hetsched_serve::metrics::RequestStatus;
 use hetsched_serve::protocol::{
-    GatewayTiming, HelloBody, Hop, InstanceSpec, JournalBody, Request, RequestOptions, Response,
-    ScheduleBody, ScheduleManyBody, SpanRecord, TimingBody,
+    build_problem, parse_parent, GatewayTiming, HelloBody, Hop, InstanceSpec, JournalBody, Op,
+    Request, RequestOptions, Response, ScheduleBody, ScheduleManyBody, SpanRecord, TimingBody,
 };
 use hetsched_serve::wire::{self, WireScan};
 
@@ -197,7 +197,13 @@ impl Router {
         }
         let hit = self.wire.lock().get(scan.digest).cloned();
         if let Some(reply) = hit {
-            self.record_wire_hit(&scan, arrival);
+            // The slow path's SLO accounting (see `finish_route`); no
+            // shard served this request, so no forward is counted.
+            bump(&self.metrics.requests);
+            bump(&self.metrics.wire_hits);
+            let elapsed = arrival.elapsed();
+            let slo = &self.metrics.slo;
+            slo.record(scan.op, scan.deadline_ms, elapsed, reply.as_bytes());
             return reply;
         }
         bump(&self.metrics.wire_misses);
@@ -212,24 +218,6 @@ impl Router {
         Instant::now() < arrival + deadline
     }
 
-    /// Account a wire-cache hit with the same SLO bookkeeping the slow
-    /// path performs in [`Router::finish_route`]. The per-shard forward
-    /// counter is deliberately untouched: no shard served this request.
-    fn record_wire_hit(&self, scan: &WireScan, arrival: Instant) {
-        bump(&self.metrics.requests);
-        bump(&self.metrics.wire_hits);
-        let elapsed = arrival.elapsed();
-        self.metrics.latency.record(RequestStatus::Success, elapsed);
-        self.metrics
-            .op_outcomes
-            .bump(scan.op.as_str(), RequestStatus::Success);
-        if let Some(d) = scan.deadline_ms {
-            self.metrics
-                .deadline_slack
-                .record(Duration::from_millis(d).saturating_sub(elapsed));
-        }
-    }
-
     /// The full parse-and-route path. `scan` is the scan of a
     /// scanned-but-missed line: a stable reply is written back under its
     /// digest, and the line is forwarded as the client's own bytes.
@@ -240,10 +228,7 @@ impl Router {
         scan: Option<&WireScan>,
     ) -> Arc<String> {
         let reply = match Request::parse(line) {
-            Err(e) => {
-                bump(&self.metrics.errors);
-                Arc::new(Response::error(format!("bad request: {e}")).to_line())
-            }
+            Err(e) => self.error(format!("bad request: {e}")),
             Ok(Request::Hello) => Arc::new(Response::hello(self.hello_body()).to_line()),
             Ok(Request::Stats) => Arc::new(self.stats_line()),
             Ok(Request::Metrics) => Arc::new(Response::metrics(self.metrics_text()).to_line()),
@@ -275,53 +260,45 @@ impl Router {
         }
     }
 
-    /// Route one `schedule`/`portfolio`/`patch` request: record the SLO
-    /// outcome and, for traced requests, the gateway-side spans and the
-    /// `timing.gateway` block around the actual routing in
-    /// [`Router::route_inner`].
+    /// A gateway-made `error` reply, counted: the one error tail of the
+    /// router, as a reply of whichever type the caller returns.
+    fn error<R: From<String>>(&self, message: impl Into<String>) -> R {
+        bump(&self.metrics.errors);
+        Response::error(message).to_line().into()
+    }
+
+    /// Route one scheduling request: record the SLO outcome and, for
+    /// traced requests, the gateway-side spans and the `timing.gateway`
+    /// block around the actual routing in [`Router::route_inner`].
     fn route(&self, req: Request, arrival: Instant, scanned: Option<Scanned>) -> Arc<String> {
         if self.is_shutting_down() {
             return Arc::new(Response::ShuttingDown.to_line());
         }
         bump(&self.metrics.requests);
-        let (op, deadline_ms, trace_id) = {
-            let options = match &req {
-                Request::Schedule { options, .. }
-                | Request::Portfolio { options, .. }
-                | Request::ScheduleMany { options, .. }
-                | Request::Patch { options, .. } => options,
-                // `handle_line` only routes the scheduling ops.
-                _ => unreachable!("route() called with a control op"),
-            };
-            let op = match &req {
-                Request::Portfolio { .. } => "portfolio",
-                Request::ScheduleMany { .. } => "schedule_many",
-                Request::Patch { .. } => "patch",
-                _ => "schedule",
-            };
-            (
-                op,
-                options.deadline_ms,
-                options.trace_ctx.as_ref().map(|c| c.trace_id.clone()),
-            )
-        };
+        let (op, algorithms, options) = req.op().expect("handle_line answers the control ops");
+        let trace_id = options.trace_ctx.as_ref().map(|c| c.trace_id.clone());
         let mut scratch = TraceScratch::new(trace_id, arrival);
-        let reply = self.route_inner(&req, scanned, deadline_ms, arrival, &mut scratch);
-        self.finish_route(reply, op, deadline_ms, arrival, scratch)
+        let reply = self.route_inner(&req, op, algorithms, options, scanned, &mut scratch);
+        self.finish_route(reply, op, options.deadline_ms, scratch)
     }
 
-    /// The routing body proper: admission, single-flight, forwarding.
+    /// The routing body proper: validation, admission, single-flight,
+    /// forwarding.
     fn route_inner(
         &self,
         req: &Request,
+        op: Op,
+        algorithms: &[String],
+        options: &RequestOptions,
         scanned: Option<Scanned>,
-        deadline_ms: Option<u64>,
-        arrival: Instant,
         scratch: &mut TraceScratch,
     ) -> Arc<String> {
-        let deadline =
-            Duration::from_millis(deadline_ms.unwrap_or(self.config.default_deadline_ms));
-        let deadline_at = arrival + deadline;
+        let deadline = Duration::from_millis(
+            options
+                .deadline_ms
+                .unwrap_or(self.config.default_deadline_ms),
+        );
+        let deadline_at = scratch.arrival + deadline;
         // Admission control runs *before* single-flight: a request whose
         // deadline has already expired — `deadline_ms` of 0 included — is
         // shed here, leaders and followers alike. (Checking only inside
@@ -338,105 +315,59 @@ impl Router {
                 .to_line(),
             );
         }
-        // A batch fans out to *several* home shards; it has its own
-        // routing body and only shares admission and single-flight.
-        if let Request::ScheduleMany {
-            instances,
-            algorithm,
-            options,
-        } = req
-        {
-            return self.route_many(
-                instances,
-                algorithm,
-                options,
-                deadline,
-                deadline_at,
-                scratch,
-            );
-        }
-        let options = match req {
-            Request::Schedule { options, .. }
-            | Request::Portfolio { options, .. }
-            | Request::Patch { options, .. } => options,
-            _ => unreachable!("route_inner() called with a control op"),
-        };
-
-        let (home, key, parent) = match req {
-            Request::Patch {
-                parent,
-                algorithm,
-                deltas,
-                options,
-            } => {
-                // A patch routes to its *parent's* home shard — the one
-                // whose instance cache can resolve the parent fingerprint.
-                let Some(parent_fp) = parse_parent(parent) else {
-                    bump(&self.metrics.errors);
-                    return Arc::new(
-                        Response::error(format!(
-                            "unknown_parent: `{parent}` is not a 16-hex-digit problem fingerprint \
-                             (use the `problem` field of an earlier schedule response)"
-                        ))
-                        .to_line(),
-                    );
+        // Validate at the front door, so a bad request never costs a
+        // shard, and find the request's home shard and its key's head.
+        let mut fps = Vec::new(); // a batch's instance fingerprints
+        let (home, head, parent) = match req {
+            Request::Schedule { dag, system, .. } | Request::Portfolio { dag, system, .. } => {
+                // One content fold routes the problem and heads its key.
+                let content = match build_problem(dag, system, None) {
+                    Ok(inst) => inst.content_fold().clone(),
+                    Err(e) => return self.error(e),
                 };
-                (
-                    (parent_fp % self.backends.len() as u64) as usize,
-                    patch_dedup_key(parent_fp, algorithm, deltas, options),
-                    Some(parent_fp),
-                )
+                (content.finish(), Head::Problem(content), None)
             }
-            _ => {
-                let (dag_spec, system_spec, alg_names) = match req {
-                    Request::Schedule {
-                        dag,
-                        system,
-                        algorithm,
-                        ..
-                    } => (dag, system, std::slice::from_ref(algorithm).to_vec()),
-                    Request::Portfolio {
-                        dag,
-                        system,
-                        algorithms,
-                        ..
-                    } => (dag, system, algorithms.clone()),
-                    _ => unreachable!("patch is handled above"),
-                };
-                // Validate at the front door; a bad problem never costs a
-                // shard.
-                let dag = match dag_spec.build() {
-                    Ok(d) => d,
-                    Err(e) => {
-                        bump(&self.metrics.errors);
-                        return Arc::new(Response::error(format!("invalid dag: {e}")).to_line());
+            // A patch routes to its *parent's* home shard — the one whose
+            // instance cache can resolve the parent fingerprint.
+            Request::Patch { parent, deltas, .. } => match parse_parent(parent) {
+                Ok(fp) => (fp, Head::Patch(fp, deltas), Some(fp)),
+                Err(e) => return self.error(e),
+            },
+            // A batch's instances each have their own home shard (see
+            // `lead_many`); its key heads on all their fingerprints.
+            Request::ScheduleMany { instances, .. } => {
+                if instances.is_empty() {
+                    return self.error("schedule_many requires at least one instance");
+                }
+                for (i, spec) in instances.iter().enumerate() {
+                    match build_problem(&spec.dag, &spec.system, Some(i)) {
+                        Ok(inst) => fps.push(inst.fingerprint()),
+                        Err(e) => return self.error(e),
                     }
-                };
-                let sys = match system_spec.build(&dag) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        bump(&self.metrics.errors);
-                        return Arc::new(Response::error(format!("invalid system: {e}")).to_line());
-                    }
-                };
-                // One content fold routes the request and starts its
-                // single-flight key.
-                let content = ProblemInstance::from_refs(&dag, &sys)
-                    .content_fold()
-                    .clone();
-                (
-                    (content.finish() % self.backends.len() as u64) as usize,
-                    dedup_key(req, content, &alg_names, options),
-                    None,
-                )
+                }
+                (0, Head::Batch(&fps), None)
             }
+            _ => unreachable!("route() takes the scheduling ops only"),
         };
+        let key = flight_key(head, op, algorithms, options);
         scratch.admission_us = scratch.off(Instant::now());
         scratch.span("admission", 0, scratch.admission_us, "");
 
-        let reply = self.coalesce(key, deadline, deadline_at, scratch, |router, scratch| {
-            router.lead(req, scanned, home, deadline_at, scratch)
-        });
+        let home = (home % self.backends.len() as u64) as usize;
+        let reply = self.coalesce(
+            key,
+            deadline,
+            deadline_at,
+            scratch,
+            |router, scratch| match req {
+                Request::ScheduleMany {
+                    instances,
+                    algorithm,
+                    ..
+                } => router.lead_many(instances, algorithm, options, &fps, deadline_at, scratch),
+                _ => router.lead(req, scanned, home, deadline_at, scratch),
+            },
+        );
         if let Some(parent_fp) = parent {
             if reply.starts_with(UNKNOWN_PARENT_REPLY) {
                 self.forget_problem(parent_fp);
@@ -498,10 +429,7 @@ impl Router {
                         )
                     }
                     Err(RecvTimeoutError::Disconnected) => {
-                        bump(&self.metrics.errors);
-                        Arc::new(
-                            Response::error("in-flight leader vanished before replying").to_line(),
-                        )
+                        self.error("in-flight leader vanished before replying")
                     }
                 }
             }
@@ -514,82 +442,29 @@ impl Router {
         }
     }
 
-    /// Route one `schedule_many` batch: validate every instance at the
-    /// front door, group the instances by their *own* home shards
-    /// (`fingerprint(dag, system) % N`, the same placement standalone
-    /// `schedule` requests get, so batches and singles share shard
-    /// caches), forward one sub-batch per shard through the ordinary
-    /// failover path, and reassemble the entries **in request order**.
-    /// The whole batch is one single-flight key, so identical concurrent
-    /// batches coalesce.
-    fn route_many(
-        &self,
-        instances: &[InstanceSpec],
-        algorithm: &str,
-        options: &RequestOptions,
-        deadline: Duration,
-        deadline_at: Instant,
-        scratch: &mut TraceScratch,
-    ) -> Arc<String> {
-        if instances.is_empty() {
-            bump(&self.metrics.errors);
-            return Arc::new(
-                Response::error("schedule_many requires at least one instance").to_line(),
-            );
-        }
-        let n = self.backends.len();
-        let mut homes = Vec::with_capacity(instances.len());
-        let mut content_fps = Vec::with_capacity(instances.len());
-        for (i, spec) in instances.iter().enumerate() {
-            let dag = match spec.dag.build() {
-                Ok(d) => d,
-                Err(e) => {
-                    bump(&self.metrics.errors);
-                    return Arc::new(
-                        Response::error(format!("invalid dag (instance {i}): {e}")).to_line(),
-                    );
-                }
-            };
-            let sys = match spec.system.build(&dag) {
-                Ok(s) => s,
-                Err(e) => {
-                    bump(&self.metrics.errors);
-                    return Arc::new(
-                        Response::error(format!("invalid system (instance {i}): {e}")).to_line(),
-                    );
-                }
-            };
-            let cfp = ProblemInstance::content_fingerprint(&dag, &sys);
-            homes.push((cfp % n as u64) as usize);
-            content_fps.push(cfp);
-        }
-        let key = many_dedup_key(&content_fps, algorithm, options);
-        scratch.admission_us = scratch.off(Instant::now());
-        scratch.span("admission", 0, scratch.admission_us, "");
-
-        self.coalesce(key, deadline, deadline_at, scratch, |router, scratch| {
-            router.lead_many(instances, algorithm, options, &homes, deadline_at, scratch)
-        })
-    }
-
-    /// Forward a batch as the single-flight leader: one `schedule_many`
-    /// sub-request per distinct home shard (in order of first appearance),
-    /// each through [`Router::lead`]'s admission/failover loop, then
-    /// scatter the sub-replies back into request order. Any non-`ok`
-    /// sub-reply answers the whole batch — partial batches would silently
-    /// drop instances, and the client can always retry (the completed
-    /// members are already cached on their shards).
+    /// Forward a batch as the single-flight leader. Each instance's home
+    /// is its *own* content fingerprint (`fps[i] % N`, the placement
+    /// standalone `schedule` requests get, so batches and singles share
+    /// shard caches). One `schedule_many` sub-request goes to each
+    /// distinct home shard (in order of first appearance), each through
+    /// [`Router::lead`]'s admission/failover loop, and the sub-replies are
+    /// scattered back into request order. Any non-`ok` sub-reply answers
+    /// the whole batch — partial batches would silently drop instances,
+    /// and the client can always retry (the completed members are already
+    /// cached on their shards).
     fn lead_many(
         &self,
         instances: &[InstanceSpec],
         algorithm: &str,
         options: &RequestOptions,
-        homes: &[usize],
+        fps: &[u64],
         deadline_at: Instant,
         scratch: &mut TraceScratch,
     ) -> String {
+        let n = self.backends.len() as u64;
+        let homes: Vec<usize> = fps.iter().map(|fp| (fp % n) as usize).collect();
         let mut shard_order: Vec<usize> = Vec::new();
-        for &h in homes {
+        for &h in &homes {
             if !shard_order.contains(&h) {
                 shard_order.push(h);
             }
@@ -614,13 +489,11 @@ impl Router {
                 return reply;
             };
             if body.entries.len() != member_idx.len() {
-                bump(&self.metrics.errors);
-                return Response::error(format!(
+                return self.error(format!(
                     "shard answered {} entries for a {}-instance sub-batch",
                     body.entries.len(),
                     member_idx.len()
-                ))
-                .to_line();
+                ));
             }
             cached += body.cached;
             computed += body.computed;
@@ -645,24 +518,15 @@ impl Router {
     fn finish_route(
         &self,
         reply: Arc<String>,
-        op: &str,
+        op: Op,
         deadline_ms: Option<u64>,
-        arrival: Instant,
         mut scratch: TraceScratch,
     ) -> Arc<String> {
-        let elapsed = arrival.elapsed();
-        let Some(status) = status_of_line(&reply) else {
+        let elapsed = scratch.arrival.elapsed();
+        let slo = &self.metrics.slo;
+        let Some(status) = slo.record(op, deadline_ms, elapsed, reply.as_bytes()) else {
             return reply; // shutting_down: not an SLO outcome
         };
-        self.metrics.latency.record(status, elapsed);
-        self.metrics.op_outcomes.bump(op, status);
-        if status == RequestStatus::Success {
-            if let Some(d) = deadline_ms {
-                self.metrics
-                    .deadline_slack
-                    .record(Duration::from_millis(d).saturating_sub(elapsed));
-            }
-        }
         let Some(trace_id) = scratch.trace_id.clone() else {
             return reply;
         };
@@ -792,12 +656,10 @@ impl Router {
             ))
             .to_line()
         } else {
-            bump(&self.metrics.errors);
-            let detail = match last_error {
+            self.error(match last_error {
                 Some(e) => format!("no shard could serve the request: {e}"),
                 None => "no healthy shard available".to_string(),
-            };
-            Response::error(detail).to_line()
+            })
         }
     }
 
@@ -829,9 +691,9 @@ impl Router {
             "wire_misses": read(&m.wire_misses),
             "wire_fallbacks": read(&m.wire_fallbacks),
             "inflight_keys": self.singleflight.len(),
-            "latency_samples": m.latency.success().count(),
-            "latency_p50_us": m.latency.success().quantile_us(0.50),
-            "latency_p99_us": m.latency.success().quantile_us(0.99),
+            "latency_samples": m.slo.latency.success().count(),
+            "latency_p50_us": m.slo.latency.success().quantile_us(0.50),
+            "latency_p99_us": m.slo.latency.success().quantile_us(0.99),
             "shards": self.snapshots(),
         });
         serde_json::to_string(&serde_json::json!({
@@ -851,99 +713,69 @@ impl Router {
         self.backends.iter().map(Backend::snapshot).collect()
     }
 
-    /// Acknowledge shutdown, optionally propagating it to every shard so
-    /// one client request winds the whole deployment down.
+    /// Acknowledge shutdown and propagate it to every shard, so one
+    /// client request winds the whole deployment down.
     fn shutdown_line(&self) -> String {
         self.begin_shutdown();
-        if self.config.propagate_shutdown {
-            for b in &self.backends {
-                let _ = b.round_trip(r#"{"op":"shutdown"}"#, Instant::now() + CONTROL_DEADLINE);
-            }
+        for b in &self.backends {
+            let _ = b.round_trip(r#"{"op":"shutdown"}"#, Instant::now() + CONTROL_DEADLINE);
         }
         Response::ShuttingDown.to_line()
     }
 }
 
-/// Dedup key for single-flight coalescing: the (DAG, system) `content`
-/// fold that routed the request, continued with the op kind, the
-/// algorithm list, and the response-shaping options. Mirrors
+/// The op-specific head of a single-flight key: what fixes the problem a
+/// request schedules.
+enum Head<'r> {
+    /// A `schedule` or `portfolio` problem's (DAG, system) content fold,
+    /// the one that routed it.
+    Problem(Fingerprint),
+    /// A batch's per-instance content fingerprints, **in request order**:
+    /// the reply is ordered, so a permuted batch is a different request.
+    Batch(&'r [u64]),
+    /// A patch's parent fingerprint and deltas. A patch never hashes the
+    /// (DAG, system) content, so even a delta-free patch never coalesces
+    /// with its parent's full request (which would hand the parent's
+    /// reply to a client that asked for the patched problem).
+    Patch(u64, &'r [Delta]),
+}
+
+/// The single-flight key: `head` continued with the op, the algorithms
+/// and the response-shaping options. The op keeps a one-instance batch
+/// and a delta-free patch from coalescing with the equivalent
+/// `schedule`, whose reply has another shape. Mirrors
 /// [`hetsched_serve::request_fingerprint`]'s exclusions: `deadline_ms`
 /// bounds the wait, `jobs` changes speed — neither changes the reply, so
 /// requests differing only in them coalesce.
-fn dedup_key(
-    req: &Request,
-    mut fp: Fingerprint,
-    alg_names: &[String],
-    options: &RequestOptions,
-) -> u64 {
+fn flight_key(head: Head<'_>, op: Op, algorithms: &[String], options: &RequestOptions) -> u64 {
+    let mut fp = match head {
+        Head::Problem(content) => content,
+        Head::Batch(content_fps) => {
+            let mut fp = Fingerprint::new();
+            fp.tag("instances");
+            fp.push_u64(content_fps.len() as u64);
+            for &c in content_fps {
+                fp.push_u64(c);
+            }
+            fp
+        }
+        Head::Patch(parent_fp, deltas) => {
+            let mut fp = Fingerprint::new();
+            fp.push_u64(parent_fp);
+            fp.tag("deltas");
+            fp.push_str(
+                &serde_json::to_string(&deltas).expect("delta serialization is infallible"),
+            );
+            fp
+        }
+    };
     fp.tag("gateway-op");
-    fp.push_str(match req {
-        Request::Portfolio { .. } => "portfolio",
-        _ => "schedule",
-    });
+    fp.push_str(op.as_str());
     fp.tag("algorithms");
-    fp.push_u64(alg_names.len() as u64);
-    for name in alg_names {
+    fp.push_u64(algorithms.len() as u64);
+    for name in algorithms {
         fp.push_str(name);
     }
-    options.fold_fingerprint(&mut fp);
-    fp.finish()
-}
-
-/// Dedup key for `schedule_many` batches: the per-instance content
-/// fingerprints **in request order**, the algorithm, and the
-/// response-shaping options. The op tag differs from `dedup_key`'s, so a
-/// one-instance batch never coalesces with the equivalent standalone
-/// `schedule` (their replies have different shapes). Order matters by
-/// design: the reply is ordered, so a permuted batch is a different
-/// request.
-fn many_dedup_key(content_fps: &[u64], algorithm: &str, options: &RequestOptions) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.tag("gateway-op");
-    fp.push_str("schedule_many");
-    fp.tag("instances");
-    fp.push_u64(content_fps.len() as u64);
-    for &c in content_fps {
-        fp.push_u64(c);
-    }
-    fp.tag("algorithms");
-    fp.push_u64(1);
-    fp.push_str(algorithm);
-    options.fold_fingerprint(&mut fp);
-    fp.finish()
-}
-
-/// Parse a `patch` parent key: exactly 16 hex digits, as the `problem`
-/// field of a schedule response carries it.
-fn parse_parent(parent: &str) -> Option<u64> {
-    if parent.len() != 16 || !parent.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
-    }
-    u64::from_str_radix(parent, 16).ok()
-}
-
-/// Dedup key for `patch` requests: the parent fingerprint, the algorithm,
-/// the deltas' canonical wire form, and the response-shaping options. A
-/// patch never hashes the (DAG, system) content, and the op tag differs
-/// from `dedup_key`'s — so a patch can never coalesce with its parent's
-/// full request, not even when its deltas are a no-op. (Coalescing them
-/// would hand the parent's reply to a client that asked for the patched
-/// problem.)
-fn patch_dedup_key(
-    parent_fp: u64,
-    algorithm: &str,
-    deltas: &[Delta],
-    options: &RequestOptions,
-) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.tag("gateway-op");
-    fp.push_str("patch");
-    fp.push_u64(parent_fp);
-    fp.tag("algorithms");
-    fp.push_u64(1);
-    fp.push_str(algorithm);
-    fp.tag("deltas");
-    fp.push_str(&serde_json::to_string(&deltas).expect("delta serialization is infallible"));
     options.fold_fingerprint(&mut fp);
     fp.finish()
 }
@@ -1001,43 +833,17 @@ fn splice_deadline(line: &str, scan: &WireScan, remaining: Duration) -> String {
 /// `gateway` hop stamp (`sent_at_us` on the gateway's clock, relative to
 /// the request's arrival) appended to its trace context.
 fn forward_line(req: &Request, remaining: Duration, sent_at_us: u64) -> String {
-    let remaining_ms = remaining_ms(remaining);
     let mut rewritten = req.clone();
-    match &mut rewritten {
-        Request::Schedule { options, .. }
-        | Request::Portfolio { options, .. }
-        | Request::ScheduleMany { options, .. }
-        | Request::Patch { options, .. } => {
-            options.deadline_ms = Some(remaining_ms);
-            if let Some(ctx) = options.trace_ctx.as_mut() {
-                ctx.hops.push(Hop {
-                    tier: "gateway".to_string(),
-                    sent_at_us,
-                });
-            }
+    if let Some(options) = rewritten.options_mut() {
+        options.deadline_ms = Some(remaining_ms(remaining));
+        if let Some(ctx) = options.trace_ctx.as_mut() {
+            ctx.hops.push(Hop {
+                tier: "gateway".to_string(),
+                sent_at_us,
+            });
         }
-        _ => {}
     }
     serde_json::to_string(&rewritten).expect("request serialization is infallible")
-}
-
-/// Classify a reply line by its leading `status` field. Relies on serde's
-/// tag-first serialization, so no parse is needed on the hot path.
-/// `None` for `shutting_down` (not an SLO outcome) and for anything
-/// unrecognizable.
-fn status_of_line(line: &str) -> Option<RequestStatus> {
-    let rest = line.strip_prefix("{\"status\":\"")?;
-    if rest.starts_with("ok\"") {
-        Some(RequestStatus::Success)
-    } else if rest.starts_with("busy\"") || rest.starts_with("shed\"") {
-        Some(RequestStatus::Shed)
-    } else if rest.starts_with("timeout\"") {
-        Some(RequestStatus::Timeout)
-    } else if rest.starts_with("error\"") {
-        Some(RequestStatus::Error)
-    } else {
-        None
-    }
 }
 
 /// Insert the gateway's timing into a traced `ok` reply. The round trip
@@ -1080,9 +886,8 @@ mod tests {
         let Request::Schedule { dag, system, .. } = &req else {
             unreachable!()
         };
-        let dag = dag.build().unwrap();
-        let sys = system.build(&dag).unwrap();
-        let content = ProblemInstance::from_refs(&dag, &sys)
+        let content = build_problem(dag, system, None)
+            .unwrap()
             .content_fold()
             .clone();
         (content, req)
@@ -1090,9 +895,10 @@ mod tests {
 
     #[test]
     fn dedup_key_ignores_deadline_and_jobs_but_not_content() {
-        let (content, req) = small_parts();
+        let (content, _) = small_parts();
         let key = |algorithm: &str, options| {
-            dedup_key(&req, content.clone(), &[algorithm.to_string()], options)
+            let head = Head::Problem(content.clone());
+            flight_key(head, Op::Schedule, &[algorithm.to_string()], options)
         };
         let base = RequestOptions::default();
         let k1 = key("HEFT", &base);
@@ -1272,10 +1078,14 @@ mod tests {
 
     #[test]
     fn patch_key_never_coalesces_with_the_parents_schedule_key() {
-        let (content, req) = small_parts();
+        let (content, _) = small_parts();
         let base = RequestOptions::default();
         let parent_fp = content.finish();
-        let schedule_key = dedup_key(&req, content, &["HEFT".to_string()], &base);
+        let heft = ["HEFT".to_string()];
+        let schedule_key = flight_key(Head::Problem(content), Op::Schedule, &heft, &base);
+        let patch_dedup_key = |parent_fp, _: &str, deltas: &[Delta], options| {
+            flight_key(Head::Patch(parent_fp, deltas), Op::Patch, &heft, options)
+        };
         // Even a delta-free patch of the same problem under the same
         // algorithm must be its own flight.
         let patch_key = patch_dedup_key(parent_fp, "HEFT", &[], &base);
@@ -1301,6 +1111,10 @@ mod tests {
     #[test]
     fn many_dedup_key_is_order_sensitive_and_ignores_deadline() {
         let base = RequestOptions::default();
+        let many_dedup_key = |fps: &[u64], algorithm: &str, options| {
+            let algorithms = [algorithm.to_string()];
+            flight_key(Head::Batch(fps), Op::ScheduleMany, &algorithms, options)
+        };
         let fps = [11u64, 22, 33];
         let k = many_dedup_key(&fps, "HEFT", &base);
         assert_eq!(k, many_dedup_key(&[11, 22, 33], "HEFT", &base));
@@ -1317,9 +1131,10 @@ mod tests {
         };
         assert_eq!(k, many_dedup_key(&fps, "HEFT", &with_deadline));
         // a one-instance batch never coalesces with the standalone op
-        let (content, req) = small_parts();
+        let (content, _) = small_parts();
         let one = many_dedup_key(&[content.finish()], "HEFT", &base);
-        let single = dedup_key(&req, content, &["HEFT".to_string()], &base);
+        let heft = ["HEFT".to_string()];
+        let single = flight_key(Head::Problem(content), Op::Schedule, &heft, &base);
         assert_ne!(single, one);
     }
 
@@ -1448,17 +1263,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_parent_requires_exactly_16_hex_digits() {
-        assert_eq!(parse_parent("0123456789abcdef"), Some(0x0123456789abcdef));
-        assert_eq!(parse_parent("ffffffffffffffff"), Some(u64::MAX));
-        assert_eq!(parse_parent("0123456789abcde"), None, "15 digits");
-        assert_eq!(parse_parent("0123456789abcdef0"), None, "17 digits");
-        assert_eq!(parse_parent("0123456789abcdeg"), None, "not hex");
-        assert_eq!(parse_parent(""), None);
-        assert_eq!(parse_parent("+123456789abcdef"), None, "no sign prefix");
-    }
-
-    #[test]
     fn forward_line_appends_gateway_hop_for_traced_requests() {
         let line = r#"{"op":"schedule","dag":{"tasks":[{"weight":1.0}],"edges":[]},"system":{"processors":{"kind":"homogeneous","count":1},"network":{"topology":"fully_connected","bandwidth":1.0}},"algorithm":"HEFT","options":{"deadline_ms":500,"trace_ctx":{"trace_id":"00000000deadbeef"}}}"#;
         let req = Request::parse(line).unwrap();
@@ -1480,33 +1284,6 @@ mod tests {
     }
 
     #[test]
-    fn status_of_line_classifies_reply_prefixes() {
-        assert_eq!(
-            status_of_line(r#"{"status":"ok","algorithm":"HEFT"}"#),
-            Some(RequestStatus::Success)
-        );
-        assert_eq!(
-            status_of_line(&Response::shed("x").to_line()),
-            Some(RequestStatus::Shed)
-        );
-        assert_eq!(
-            status_of_line(
-                &Response::Timeout {
-                    message: "m".to_string()
-                }
-                .to_line()
-            ),
-            Some(RequestStatus::Timeout)
-        );
-        assert_eq!(
-            status_of_line(&Response::error("x").to_line()),
-            Some(RequestStatus::Error)
-        );
-        assert_eq!(status_of_line(&Response::ShuttingDown.to_line()), None);
-        assert_eq!(status_of_line("not json"), None);
-    }
-
-    #[test]
     fn traced_requests_journal_spans_and_account_outcomes_even_on_failure() {
         let cfg = GatewayConfig {
             backends: vec!["127.0.0.1:1".to_string()],
@@ -1520,10 +1297,10 @@ mod tests {
         assert_eq!(v["status"].as_str(), Some("error"), "{reply}");
 
         // The failed request is an SLO outcome, not a lost sample.
-        let m = router.metrics();
+        let m = &router.metrics().slo;
         assert_eq!(m.latency.get(RequestStatus::Error).count(), 1);
         assert_eq!(m.latency.get(RequestStatus::Success).count(), 0);
-        assert_eq!(m.op_outcomes.get("schedule", RequestStatus::Error), 1);
+        assert_eq!(m.op_outcomes.get(Op::Schedule, RequestStatus::Error), 1);
 
         // Its spans are journaled: admission, the failed backend attempt,
         // and the root request span that covers both.

@@ -18,6 +18,8 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::protocol::Op;
+
 const BUCKETS: usize = 64;
 
 /// Streaming log-scale latency histogram over microseconds.
@@ -186,6 +188,26 @@ impl RequestStatus {
             RequestStatus::Error => 3,
         }
     }
+
+    /// Classify a reply line by its leading `status` field: the one
+    /// classifier both tiers' SLO accounting uses. Relies on serde's
+    /// tag-first serialization, so no parse is needed on the hot path.
+    /// `None` for `shutting_down` (not an SLO outcome) and for anything
+    /// unrecognizable.
+    pub fn of_reply(line: &[u8]) -> Option<RequestStatus> {
+        let rest = line.strip_prefix(b"{\"status\":\"")?;
+        if rest.starts_with(b"ok\"") {
+            Some(RequestStatus::Success)
+        } else if rest.starts_with(b"busy\"") || rest.starts_with(b"shed\"") {
+            Some(RequestStatus::Shed)
+        } else if rest.starts_with(b"timeout\"") {
+            Some(RequestStatus::Timeout)
+        } else if rest.starts_with(b"error\"") {
+            Some(RequestStatus::Error)
+        } else {
+            None
+        }
+    }
 }
 
 /// One latency histogram per request outcome, rendered as a single
@@ -239,48 +261,79 @@ impl StatusLatency {
     }
 }
 
-/// Operations distinguished by the per-op outcome counters.
-pub const OUTCOME_OPS: [&str; 3] = ["schedule", "patch", "portfolio"];
-
 /// Fixed matrix of `(op, status)` outcome counters rendered as
-/// `{prefix}_op_outcomes_total{op="...",status="..."}`. Every cell is
-/// always rendered so the exposition is deterministic.
+/// `{prefix}_op_outcomes_total{op="...",status="..."}`, one row per
+/// [`Op`]. Every cell is always rendered so the exposition is
+/// deterministic.
 #[derive(Debug, Default)]
 pub struct OpOutcomes {
-    cells: [[AtomicU64; 4]; 3],
+    cells: [[AtomicU64; 4]; Op::ALL.len()],
 }
 
 impl OpOutcomes {
-    fn op_index(op: &str) -> usize {
-        OUTCOME_OPS.iter().position(|o| *o == op).unwrap_or(0)
-    }
-
-    /// Count one request outcome for an op (`schedule`/`patch`/
-    /// `portfolio`; unknown ops count against `schedule`).
-    pub fn bump(&self, op: &str, status: RequestStatus) {
-        self.cells[Self::op_index(op)][status.index()].fetch_add(1, Ordering::Relaxed);
+    /// Count one request outcome for an op.
+    pub fn bump(&self, op: Op, status: RequestStatus) {
+        self.cells[op as usize][status.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Read one cell.
-    pub fn get(&self, op: &str, status: RequestStatus) -> u64 {
-        self.cells[Self::op_index(op)][status.index()].load(Ordering::Relaxed)
+    pub fn get(&self, op: Op, status: RequestStatus) -> u64 {
+        self.cells[op as usize][status.index()].load(Ordering::Relaxed)
     }
 
     /// Render the counter family under `name`.
     pub fn render(&self, out: &mut String, name: &str, help: &str) {
         let _ = writeln!(out, "# HELP {name} {help}");
         let _ = writeln!(out, "# TYPE {name} counter");
-        for (oi, op) in OUTCOME_OPS.iter().enumerate() {
+        for op in Op::ALL {
             for status in RequestStatus::ALL {
-                let v = self.cells[oi][status.index()].load(Ordering::Relaxed);
                 let _ = writeln!(
                     out,
-                    "{name}{{op=\"{}\",status=\"{}\"}} {v}",
-                    escape_label(op),
+                    "{name}{{op=\"{}\",status=\"{}\"}} {}",
+                    escape_label(op.as_str()),
                     escape_label(status.as_str()),
+                    self.get(op, status),
                 );
             }
         }
+    }
+}
+
+/// The end-of-request SLO accounting both tiers keep, one [`Slo::record`]
+/// per finished scheduling request.
+#[derive(Debug, Default)]
+pub struct Slo {
+    /// End-to-end latency of finished requests, split by outcome
+    /// (`status` label in the exposition).
+    pub latency: StatusLatency,
+    /// Per-op request outcomes.
+    pub op_outcomes: OpOutcomes,
+    /// Remaining deadline slack when a request that carried a deadline
+    /// was answered `ok`.
+    pub deadline_slack: LatencyHistogram,
+}
+
+impl Slo {
+    /// Account one `op` request answered with the reply line `reply`
+    /// `elapsed` after it arrived: its latency by outcome, its per-op
+    /// outcome and, for a deadlined success, the slack it left. Returns
+    /// the outcome; a reply [`RequestStatus::of_reply`] does not classify
+    /// (`shutting_down`) is not recorded.
+    pub fn record(
+        &self,
+        op: Op,
+        deadline_ms: Option<u64>,
+        elapsed: Duration,
+        reply: &[u8],
+    ) -> Option<RequestStatus> {
+        let status = RequestStatus::of_reply(reply)?;
+        self.latency.record(status, elapsed);
+        self.op_outcomes.bump(op, status);
+        if let (RequestStatus::Success, Some(d)) = (status, deadline_ms) {
+            self.deadline_slack
+                .record(Duration::from_millis(d).saturating_sub(elapsed));
+        }
+        Some(status)
     }
 }
 
@@ -313,14 +366,9 @@ pub struct ServiceMetrics {
     /// Schedules produced by incremental repair rather than from-scratch
     /// computation (a subset of `computed`).
     pub repairs: AtomicU64,
-    /// End-to-end latency of finished requests, split by outcome
-    /// (`status` label in the exposition).
-    pub latency: StatusLatency,
-    /// Per-op request outcomes (`hetsched_op_outcomes_total`).
-    pub op_outcomes: OpOutcomes,
-    /// Remaining deadline slack at completion for requests that carried
-    /// a deadline and succeeded.
-    pub deadline_slack: LatencyHistogram,
+    /// Latency, per-op outcomes (`hetsched_op_outcomes_total`) and
+    /// deadline slack of finished scheduling requests.
+    pub slo: Slo,
     /// Time jobs spent waiting in the bounded queue before a worker
     /// picked them up (computed jobs only — memo hits never queue).
     pub queue_wait: LatencyHistogram,
@@ -490,12 +538,12 @@ impl ServiceMetrics {
         );
         gauge("hetsched_workers", "Worker threads.", g.workers);
 
-        self.latency.render(
+        self.slo.latency.render(
             &mut out,
             "hetsched_request_latency_seconds",
             "End-to-end latency of finished requests, by outcome status.",
         );
-        self.op_outcomes.render(
+        self.slo.op_outcomes.render(
             &mut out,
             "hetsched_op_outcomes_total",
             "Request outcomes per operation and status.",
@@ -505,7 +553,7 @@ impl ServiceMetrics {
             "hetsched_deadline_slack_seconds",
             "Deadline slack remaining when a deadlined request succeeded.",
             "",
-            &self.deadline_slack,
+            &self.slo.deadline_slack,
         );
         render_histogram(
             &mut out,
@@ -715,15 +763,20 @@ mod tests {
         ServiceMetrics::bump(&m.requests);
         ServiceMetrics::bump(&m.cache_hits);
         ServiceMetrics::bump(&m.instance_cache_misses);
-        m.latency
+        m.slo
+            .latency
             .record(RequestStatus::Success, Duration::from_micros(100));
-        m.latency
+        m.slo
+            .latency
             .record(RequestStatus::Shed, Duration::from_micros(5));
-        m.op_outcomes.bump("schedule", RequestStatus::Success);
-        m.op_outcomes.bump("patch", RequestStatus::Timeout);
+        m.slo.op_outcomes.bump(Op::Schedule, RequestStatus::Success);
+        m.slo.op_outcomes.bump(Op::Patch, RequestStatus::Timeout);
+        m.slo
+            .op_outcomes
+            .bump(Op::ScheduleMany, RequestStatus::Success);
         m.queue_wait.record(Duration::from_micros(10));
         m.compute.record(Duration::from_micros(90));
-        m.deadline_slack.record(Duration::from_millis(40));
+        m.slo.deadline_slack.record(Duration::from_millis(40));
         m.record_algorithm("HEFT", Duration::from_micros(100));
         m.record_algorithm("ILS-D", Duration::from_millis(2));
         let text = m.render_prometheus(&GaugeSnapshot {
@@ -753,6 +806,8 @@ mod tests {
             "hetsched_op_outcomes_total{op=\"schedule\",status=\"success\"} 1",
             "hetsched_op_outcomes_total{op=\"patch\",status=\"timeout\"} 1",
             "hetsched_op_outcomes_total{op=\"portfolio\",status=\"error\"} 0",
+            "hetsched_op_outcomes_total{op=\"schedule_many\",status=\"success\"} 1",
+            "hetsched_op_outcomes_total{op=\"schedule_many\",status=\"error\"} 0",
             "# TYPE hetsched_deadline_slack_seconds histogram",
             "# TYPE hetsched_queue_wait_seconds histogram",
             "hetsched_queue_wait_seconds_count 1",
@@ -773,6 +828,40 @@ mod tests {
             text.contains("le=\"0.000128\""),
             "128µs bound in seconds:\n{text}"
         );
+    }
+
+    #[test]
+    fn of_reply_classifies_reply_prefixes() {
+        use crate::protocol::Response;
+        let of = |line: &str| RequestStatus::of_reply(line.as_bytes());
+        assert_eq!(
+            of(r#"{"status":"ok","algorithm":"HEFT"}"#),
+            Some(RequestStatus::Success)
+        );
+        assert_eq!(
+            of(&Response::shed("x").to_line()),
+            Some(RequestStatus::Shed)
+        );
+        assert_eq!(
+            of(&Response::Busy {
+                message: "m".to_string()
+            }
+            .to_line()),
+            Some(RequestStatus::Shed)
+        );
+        assert_eq!(
+            of(&Response::Timeout {
+                message: "m".to_string()
+            }
+            .to_line()),
+            Some(RequestStatus::Timeout)
+        );
+        assert_eq!(
+            of(&Response::error("x").to_line()),
+            Some(RequestStatus::Error)
+        );
+        assert_eq!(of(&Response::ShuttingDown.to_line()), None);
+        assert_eq!(of("not json"), None);
     }
 
     #[test]

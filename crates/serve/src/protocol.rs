@@ -7,11 +7,51 @@
 
 use serde::{Deserialize, Serialize};
 
-use hetsched_core::Schedule;
+use hetsched_core::{ProblemInstance, Schedule};
 use hetsched_dag::io::DagSpec;
 use hetsched_dag::Fingerprint;
 use hetsched_platform::SystemSpec;
 use hetsched_sim::SimResult;
+
+/// The four scheduling operations. Each labels its own outcome counters
+/// on both tiers, and only their lines may take the gateway's wire fast
+/// path; the control ops (`hello`, `stats`, ...) do neither.
+/// [`Op::ALL`] lists them in declaration order, so `op as usize` indexes
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// `{"op":"schedule", ...}`
+    Schedule,
+    /// `{"op":"patch", ...}`
+    Patch,
+    /// `{"op":"portfolio", ...}`
+    Portfolio,
+    /// `{"op":"schedule_many", ...}`
+    ScheduleMany,
+}
+
+impl Op {
+    /// Every scheduling op, in the order the outcome counters render.
+    pub const ALL: [Op; 4] = [Op::Schedule, Op::Patch, Op::Portfolio, Op::ScheduleMany];
+
+    /// The protocol spelling: the request's `op` value and the `op`
+    /// metrics label.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Op::Schedule => "schedule",
+            Op::Patch => "patch",
+            Op::Portfolio => "portfolio",
+            Op::ScheduleMany => "schedule_many",
+        }
+    }
+
+    /// The scheduling op a raw `op` value spells, if it spells one.
+    pub fn from_name(name: &[u8]) -> Option<Op> {
+        Op::ALL
+            .into_iter()
+            .find(|op| op.as_str().as_bytes() == name)
+    }
+}
 
 /// Per-request options for a `schedule` request.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -212,6 +252,74 @@ impl Request {
     /// Parse one request line.
     pub fn parse(line: &str) -> Result<Request, serde_json::Error> {
         serde_json::from_str(line)
+    }
+
+    /// The scheduling op this request carries, the registry names it
+    /// schedules with (a portfolio's list, else its one algorithm), and
+    /// its options; `None` for the control ops.
+    pub fn op(&self) -> Option<(Op, &[String], &RequestOptions)> {
+        use std::slice::from_ref;
+        match self {
+            Request::Schedule {
+                algorithm, options, ..
+            } => Some((Op::Schedule, from_ref(algorithm), options)),
+            Request::Patch {
+                algorithm, options, ..
+            } => Some((Op::Patch, from_ref(algorithm), options)),
+            Request::Portfolio {
+                algorithms,
+                options,
+                ..
+            } => Some((Op::Portfolio, algorithms, options)),
+            Request::ScheduleMany {
+                algorithm, options, ..
+            } => Some((Op::ScheduleMany, from_ref(algorithm), options)),
+            _ => None,
+        }
+    }
+
+    /// A scheduling request's options, to rewrite before forwarding;
+    /// `None` for the control ops.
+    pub fn options_mut(&mut self) -> Option<&mut RequestOptions> {
+        match self {
+            Request::Schedule { options, .. }
+            | Request::Patch { options, .. }
+            | Request::Portfolio { options, .. }
+            | Request::ScheduleMany { options, .. } => Some(options),
+            _ => None,
+        }
+    }
+}
+
+/// Build the problem a request's `dag` and `system` describe: the one
+/// validation both tiers run. The error is the `error` message either
+/// tier answers; `instance`, a `schedule_many` member's index, is named
+/// in it.
+pub fn build_problem(
+    dag: &DagSpec,
+    system: &SystemSpec,
+    instance: Option<usize>,
+) -> Result<ProblemInstance<'static>, String> {
+    let invalid = |what: &str, e: &dyn std::fmt::Display| match instance {
+        None => format!("invalid {what}: {e}"),
+        Some(i) => format!("invalid {what} (instance {i}): {e}"),
+    };
+    let dag = dag.build().map_err(|e| invalid("dag", &e))?;
+    let sys = system.build(&dag).map_err(|e| invalid("system", &e))?;
+    Ok(ProblemInstance::new(dag, sys))
+}
+
+/// Parse a `patch` parent: exactly 16 hex digits, as the `problem` field
+/// of a schedule reply carries it (no sign, unlike
+/// [`u64::from_str_radix`]). The error is the `unknown_parent` message
+/// both tiers answer.
+pub fn parse_parent(parent: &str) -> Result<u64, String> {
+    match u64::from_str_radix(parent, 16) {
+        Ok(key) if parent.len() == 16 && parent.bytes().all(|b| b.is_ascii_hexdigit()) => Ok(key),
+        _ => Err(format!(
+            "unknown_parent: `{parent}` is not a 16-hex-digit problem fingerprint \
+             (use the `problem` field of an earlier schedule response)"
+        )),
     }
 }
 
@@ -840,6 +948,24 @@ mod tests {
         let v: serde_json::Value = serde_json::from_str(&line).unwrap();
         assert_eq!(v["status"].as_str(), Some("ok"));
         assert!(v["metrics"].as_str().unwrap().contains("# TYPE x counter"));
+    }
+
+    #[test]
+    fn parse_parent_requires_exactly_16_hex_digits() {
+        let parse = |parent| parse_parent(parent).ok();
+        assert_eq!(parse("0123456789abcdef"), Some(0x0123456789abcdef));
+        assert_eq!(parse("ffffffffffffffff"), Some(u64::MAX));
+        assert_eq!(parse("0123456789abcde"), None, "15 digits");
+        assert_eq!(parse("0123456789abcdef0"), None, "17 digits");
+        assert_eq!(parse("0123456789abcdeg"), None, "not hex");
+        assert_eq!(parse(""), None);
+        assert_eq!(parse("+123456789abcdef"), None, "no sign prefix");
+        assert_eq!(parse("-123456789abcdef"), None, "no sign prefix");
+        let message = parse_parent("+123456789abcdef").unwrap_err();
+        assert!(
+            message.starts_with("unknown_parent: `+123456789abcdef` is not a 16-hex-digit"),
+            "{message}"
+        );
     }
 
     #[test]

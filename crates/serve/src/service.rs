@@ -44,11 +44,11 @@ use hetsched_platform::SystemSpec;
 
 use crate::cache::LruCache;
 use crate::journal::Journal;
-use crate::metrics::{GaugeSnapshot, RequestStatus, ServiceMetrics};
+use crate::metrics::{GaugeSnapshot, ServiceMetrics};
 use crate::protocol::{
-    HelloBody, InstanceSpec, JournalBody, PortfolioBody, PortfolioEntryBody, Request,
-    RequestOptions, Response, ScheduleBody, ScheduleManyBody, ServeTiming, SpanRecord, StatsBody,
-    TimingBody,
+    build_problem, parse_parent, HelloBody, InstanceSpec, JournalBody, PortfolioBody,
+    PortfolioEntryBody, Request, RequestOptions, Response, ScheduleBody, ScheduleManyBody,
+    ServeTiming, SpanRecord, StatsBody, TimingBody,
 };
 use crate::worker::{worker_loop, Job, JobCtx, RepairCtx};
 
@@ -274,16 +274,12 @@ impl Service {
     /// request deadline.
     pub fn handle_line_bytes(&self, line: &str) -> Arc<[u8]> {
         let arrival = Instant::now();
-        let reply = match Request::parse(line) {
+        match Request::parse(line) {
             Ok(req) => {
                 let parse_us = arrival.elapsed().as_micros() as u64;
                 self.handle_at(req, LineMeta { arrival, parse_us })
             }
-            Err(e) => Reply::Typed(self.error(format!("bad request: {e}"))),
-        };
-        match reply {
-            Reply::Bytes(bytes) => bytes,
-            Reply::Typed(resp) => resp.to_line().into_bytes().into(),
+            Err(e) => self.error_reply(&format!("bad request: {e}")),
         }
     }
 
@@ -300,7 +296,7 @@ impl Service {
     /// [`crate::protocol::LINE_TOO_LONG`]): a structured `error` carrying
     /// `message`, counted like any other bad request.
     pub fn error_reply(&self, message: &str) -> Arc<[u8]> {
-        self.error(message).to_line().into_bytes().into()
+        bytes(self.error(message))
     }
 
     /// An `error` response, counted.
@@ -309,91 +305,57 @@ impl Service {
         Response::error(message)
     }
 
-    fn handle_at(&self, req: Request, meta: LineMeta) -> Reply {
-        let (op, deadline_ms, reply) = match req {
-            Request::Hello => return Reply::Typed(Response::hello(self.hello_body())),
-            Request::Stats => return Reply::Typed(Response::stats(self.stats_body())),
-            Request::Metrics => return Reply::Typed(Response::metrics(self.metrics_text())),
+    /// Answer one parsed request. A scheduling op's reply is accounted
+    /// by the SLO recorder both tiers share.
+    fn handle_at(&self, req: Request, meta: LineMeta) -> Arc<[u8]> {
+        let accounted = req.op().map(|(op, _, options)| (op, options.deadline_ms));
+        let reply = match req {
+            Request::Hello => return bytes(Response::hello(self.hello_body())),
+            Request::Stats => return bytes(Response::stats(self.stats_body())),
+            Request::Metrics => return bytes(Response::metrics(self.metrics_text())),
             Request::Journal => {
-                return Reply::Typed(Response::journal(JournalBody {
+                return bytes(Response::journal(JournalBody {
                     source: "shard".to_string(),
                     spans: self.shared.journal.drain(),
                 }))
             }
             Request::Shutdown => {
                 self.begin_shutdown();
-                return Reply::Typed(Response::ShuttingDown);
+                return bytes(Response::ShuttingDown);
             }
             // Every op below schedules, and none starts once shutdown has
             // begun.
-            _ if self.is_shutting_down() => return Reply::Typed(Response::ShuttingDown),
+            _ if self.is_shutting_down() => return bytes(Response::ShuttingDown),
             Request::Schedule {
                 dag,
                 system,
                 algorithm,
                 options,
-            } => (
-                "schedule",
-                options.deadline_ms,
-                self.handle_schedule(dag, system, algorithm, options, meta),
-            ),
+            } => self.handle_schedule(&dag, &system, algorithm, options, meta),
             Request::Patch {
                 parent,
                 algorithm,
                 deltas,
                 options,
-            } => (
-                "patch",
-                options.deadline_ms,
-                self.handle_patch(&parent, algorithm, &deltas, options, meta),
-            ),
+            } => self.handle_patch(&parent, algorithm, &deltas, options, meta),
             Request::Portfolio {
                 dag,
                 system,
                 algorithms,
                 options,
-            } => (
-                "portfolio",
-                options.deadline_ms,
-                self.handle_portfolio(dag, system, algorithms, options, meta),
-            ),
+            } => self.handle_portfolio(&dag, &system, algorithms, options, meta),
             Request::ScheduleMany {
                 instances,
                 algorithm,
                 options,
-            } => (
-                "schedule_many",
-                options.deadline_ms,
-                self.handle_many(instances, algorithm, options, meta),
-            ),
-        };
-        let reply = reply.unwrap_or_else(Reply::Typed);
-        if let Some(status) = reply.status() {
-            self.record_outcome(op, deadline_ms, meta.arrival, status);
+            } => self.handle_many(instances, algorithm, options, meta),
+        }
+        .unwrap_or_else(bytes);
+        if let Some((op, deadline_ms)) = accounted {
+            let slo = &self.shared.metrics.slo;
+            slo.record(op, deadline_ms, meta.arrival.elapsed(), &reply);
         }
         reply
-    }
-
-    /// Record the end-of-request SLO accounting in one place: the
-    /// status-labeled latency histogram, the per-op outcome counter, and —
-    /// for deadlined requests that made it — the remaining deadline slack.
-    fn record_outcome(
-        &self,
-        op: &str,
-        deadline_ms: Option<u64>,
-        started: Instant,
-        status: RequestStatus,
-    ) {
-        let m = &self.shared.metrics;
-        let elapsed = started.elapsed();
-        m.latency.record(status, elapsed);
-        m.op_outcomes.bump(op, status);
-        if status == RequestStatus::Success {
-            if let Some(d) = deadline_ms {
-                m.deadline_slack
-                    .record(Duration::from_millis(d).saturating_sub(elapsed));
-            }
-        }
     }
 
     /// Finish a traced request at this tier: push the root `request` (and
@@ -477,9 +439,9 @@ impl Service {
             wire_fallbacks: 0,
             workers: self.shared.config.workers,
             queue_capacity: self.shared.config.queue_capacity,
-            latency_samples: m.latency.success().count(),
-            latency_p50_us: m.latency.success().quantile_us(0.50),
-            latency_p99_us: m.latency.success().quantile_us(0.99),
+            latency_samples: m.slo.latency.success().count(),
+            latency_p50_us: m.slo.latency.success().quantile_us(0.50),
+            latency_p99_us: m.slo.latency.success().quantile_us(0.99),
             qwait_p50_us: m.queue_wait.quantile_us(0.50),
             qwait_p99_us: m.queue_wait.quantile_us(0.99),
             compute_p50_us: m.compute.quantile_us(0.50),
@@ -503,23 +465,6 @@ impl Service {
             queue_capacity: self.shared.config.queue_capacity as u64,
         };
         self.shared.metrics.render_prometheus(&gauges)
-    }
-
-    /// Build the problem instance from its wire specs, reporting protocol
-    /// errors uniformly.
-    #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
-    fn build_problem(
-        &self,
-        dag: DagSpec,
-        system: SystemSpec,
-    ) -> Result<ProblemInstance<'static>, Response> {
-        let dag = dag
-            .build()
-            .map_err(|e| self.error(format!("invalid dag: {e}")))?;
-        let sys = system
-            .build(&dag)
-            .map_err(|e| self.error(format!("invalid system: {e}")))?;
-        Ok(ProblemInstance::new(dag, sys))
     }
 
     /// The registry scheduler `name` names, or the one `unknown
@@ -685,13 +630,13 @@ impl Service {
     #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
     fn handle_schedule(
         &self,
-        dag: DagSpec,
-        system: SystemSpec,
+        dag: &DagSpec,
+        system: &SystemSpec,
         algorithm: String,
         options: RequestOptions,
         meta: LineMeta,
-    ) -> Result<Reply, Response> {
-        let inst = self.build_problem(dag, system)?;
+    ) -> Result<Arc<[u8]>, Response> {
+        let inst = build_problem(dag, system, None).map_err(|e| self.error(e))?;
         let alg = self.scheduler(&algorithm)?;
         let inst = self.instance_for(inst);
         Ok(self.single(&inst, &algorithm, alg, &options, meta, None))
@@ -711,16 +656,8 @@ impl Service {
         deltas: &[Delta],
         options: RequestOptions,
         meta: LineMeta,
-    ) -> Result<Reply, Response> {
-        let parent_key = match u64::from_str_radix(parent, 16) {
-            Ok(k) if parent.len() == 16 => k,
-            _ => {
-                return Err(self.error(format!(
-                    "unknown_parent: `{parent}` is not a 16-hex-digit problem fingerprint \
-                     (use the `problem` field of an earlier schedule response)"
-                )))
-            }
-        };
+    ) -> Result<Arc<[u8]>, Response> {
+        let parent_key = parse_parent(parent).map_err(|e| self.error(e))?;
         let Some(parent_inst) = self.shared.instances.lock().get(parent_key).cloned() else {
             return Err(self.error(format!(
                 "unknown_parent: no cached problem with fingerprint {parent} (never seen or \
@@ -777,17 +714,17 @@ impl Service {
         options: &RequestOptions,
         meta: LineMeta,
         repair: Option<RepairCtx>,
-    ) -> Reply {
+    ) -> Arc<[u8]> {
         let m = &self.shared.metrics;
         let ctx = JobCtx::for_options(options, meta.arrival);
         let resp = match self.memo_or_submit(inst, algorithm, alg, options, None, repair, ctx) {
             Ok(MemberState::Memo(entry)) => {
                 m.record_algorithm(algorithm, meta.arrival.elapsed());
                 if options.trace_ctx.is_none() {
-                    return Reply::Bytes(entry.hit_line());
+                    return entry.hit_line();
                 }
                 let resp = Response::schedule(entry.hit_body());
-                return Reply::Typed(self.finalize_timing(resp, options, meta, "memo"));
+                return bytes(self.finalize_timing(resp, options, meta, "memo"));
             }
             Ok(MemberState::Pending(rx)) => {
                 let resp = self.await_worker(&rx, meta.arrival, self.deadline(options), None);
@@ -798,7 +735,7 @@ impl Service {
             }
             Err(resp) => resp,
         };
-        Reply::Typed(self.finalize_timing(resp, options, meta, "none"))
+        bytes(self.finalize_timing(resp, options, meta, "none"))
     }
 
     /// The fan-out `portfolio` and `schedule_many` share: submit every
@@ -864,12 +801,12 @@ impl Service {
     #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
     fn handle_portfolio(
         &self,
-        dag: DagSpec,
-        system: SystemSpec,
+        dag: &DagSpec,
+        system: &SystemSpec,
         names: Vec<String>,
         options: RequestOptions,
         meta: LineMeta,
-    ) -> Result<Reply, Response> {
+    ) -> Result<Arc<[u8]>, Response> {
         let names = if names.is_empty() {
             algorithms::known_names()
                 .iter()
@@ -882,7 +819,8 @@ impl Service {
             .iter()
             .map(|name| self.scheduler(name))
             .collect::<Result<Vec<_>, _>>()?;
-        let inst = self.instance_for(self.build_problem(dag, system)?);
+        let inst = build_problem(dag, system, None).map_err(|e| self.error(e))?;
+        let inst = self.instance_for(inst);
         let members = names
             .iter()
             .zip(algs)
@@ -909,7 +847,7 @@ impl Service {
             best,
             schedule: bodies.swap_remove(best),
         });
-        Ok(Reply::Typed(self.finalize_timing(
+        Ok(bytes(self.finalize_timing(
             resp,
             &options,
             meta,
@@ -931,16 +869,17 @@ impl Service {
         algorithm: String,
         options: RequestOptions,
         meta: LineMeta,
-    ) -> Result<Reply, Response> {
+    ) -> Result<Arc<[u8]>, Response> {
         if instances.is_empty() {
             return Err(self.error("schedule_many requires at least one instance"));
         }
         self.scheduler(&algorithm)?;
         let built = instances
-            .into_iter()
-            .map(|spec| self.build_problem(spec.dag, spec.system))
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| build_problem(&spec.dag, &spec.system, Some(i)))
             .collect::<Result<Vec<_>, _>>()
-            .map_err(|resp| self.finalize_timing(resp, &options, meta, "none"))?;
+            .map_err(|e| self.finalize_timing(self.error(e), &options, meta, "none"))?;
 
         let mut seen: Vec<(u64, usize)> = Vec::with_capacity(built.len());
         let mut members = Vec::with_capacity(built.len());
@@ -966,9 +905,7 @@ impl Service {
             cached,
             computed,
         });
-        Ok(Reply::Typed(
-            self.finalize_timing(resp, &options, meta, "many"),
-        ))
+        Ok(bytes(self.finalize_timing(resp, &options, meta, "many")))
     }
 }
 
@@ -999,31 +936,9 @@ enum Member<'a> {
     RepeatOf(usize),
 }
 
-/// One finished request: a memo hit's preserialized `ok` line, or a
-/// response to serialize.
-// Transient return value consumed immediately by the dispatcher — never
-// stored or collected, so the Typed/Bytes size gap costs nothing.
-#[allow(clippy::large_enum_variant)]
-enum Reply {
-    Typed(Response),
-    Bytes(Arc<[u8]>),
-}
-
-impl Reply {
-    /// The outcome class for SLO accounting; `None` for responses that
-    /// are not accounted (`shutting_down`).
-    fn status(&self) -> Option<RequestStatus> {
-        match self {
-            Reply::Bytes(_) => Some(RequestStatus::Success),
-            Reply::Typed(resp) => match resp {
-                Response::Ok { .. } => Some(RequestStatus::Success),
-                Response::Busy { .. } | Response::Shed { .. } => Some(RequestStatus::Shed),
-                Response::Timeout { .. } => Some(RequestStatus::Timeout),
-                Response::Error { .. } => Some(RequestStatus::Error),
-                Response::ShuttingDown => None,
-            },
-        }
-    }
+/// A response as its reply line's bytes.
+fn bytes(resp: Response) -> Arc<[u8]> {
+    resp.to_line().into_bytes().into()
 }
 
 /// Wait for the worker's reply until `remaining` elapses, then make one
@@ -1950,20 +1865,22 @@ mod tests {
     #[test]
     fn outcome_accounting_labels_statuses() {
         use crate::metrics::RequestStatus;
+        use crate::protocol::Op;
         let svc = Service::start(test_config());
         svc.handle_line(&small_request(5, "HEFT", "{\"deadline_ms\":5000}"));
         svc.handle_line(&small_request(5, "NO-SUCH", "{}"));
         let slow = small_request(6, "HEFT", "{\"debug_sleep_ms\":300,\"deadline_ms\":25}");
         let resp = svc.handle_line(&slow);
         assert!(matches!(resp, Response::Timeout { .. }), "got {resp:?}");
-        let m = svc.metrics();
+        let m = &svc.metrics().slo;
         assert_eq!(m.latency.get(RequestStatus::Success).count(), 1);
         assert_eq!(m.latency.get(RequestStatus::Error).count(), 1);
         assert_eq!(m.latency.get(RequestStatus::Timeout).count(), 1);
-        assert_eq!(m.op_outcomes.get("schedule", RequestStatus::Success), 1);
-        assert_eq!(m.op_outcomes.get("schedule", RequestStatus::Timeout), 1);
+        assert_eq!(m.op_outcomes.get(Op::Schedule, RequestStatus::Success), 1);
+        assert_eq!(m.op_outcomes.get(Op::Schedule, RequestStatus::Timeout), 1);
         // The deadlined success recorded its remaining slack.
         assert_eq!(m.deadline_slack.count(), 1);
+        let m = svc.metrics();
         // Queue-wait/compute histograms see every computed job.
         assert!(m.queue_wait.count() >= 1);
         assert!(m.compute.count() >= 1);

@@ -54,47 +54,12 @@
 //! scanned line as the client's own bytes with only the deadline
 //! rewritten, instead of re-serializing the parsed request.
 
+use crate::protocol::Op;
+
 /// Maximum nesting depth the scanner will walk before giving up. Real
 /// requests nest a handful of levels; anything deeper is hostile or
 /// broken and belongs on the slow path.
 const MAX_DEPTH: usize = 32;
-
-/// The scheduling operations eligible for the wire fast path. Control
-/// operations (`stats`, `shutdown`, ...) are cheap to parse and must
-/// never be cached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireOp {
-    /// `{"op":"schedule", ...}`
-    Schedule,
-    /// `{"op":"portfolio", ...}`
-    Portfolio,
-    /// `{"op":"schedule_many", ...}`
-    ScheduleMany,
-    /// `{"op":"patch", ...}`
-    Patch,
-}
-
-impl WireOp {
-    fn from_bytes(b: &[u8]) -> Option<WireOp> {
-        match b {
-            b"schedule" => Some(WireOp::Schedule),
-            b"portfolio" => Some(WireOp::Portfolio),
-            b"schedule_many" => Some(WireOp::ScheduleMany),
-            b"patch" => Some(WireOp::Patch),
-            _ => None,
-        }
-    }
-
-    /// The protocol spelling, for metrics labels.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            WireOp::Schedule => "schedule",
-            WireOp::Portfolio => "portfolio",
-            WireOp::ScheduleMany => "schedule_many",
-            WireOp::Patch => "patch",
-        }
-    }
-}
 
 /// A successfully scanned request line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +67,7 @@ pub struct WireScan {
     /// FNV-1a 64 digest over the line with volatile ranges excluded.
     pub digest: u64,
     /// Which scheduling operation the line carries.
-    pub op: WireOp,
+    pub op: Op,
     /// The raw `options.deadline_ms` value, when present.
     pub deadline_ms: Option<u64>,
     /// Byte range of the `options.deadline_ms` value, when present.
@@ -120,7 +85,7 @@ struct Scanner<'a> {
     pos: usize,
     /// Byte ranges excluded from the digest (volatile members).
     excluded: Vec<(usize, usize)>,
-    op: Option<WireOp>,
+    op: Option<Op>,
     deadline_ms: Option<u64>,
     deadline_range: Option<(usize, usize)>,
     options_body: Option<usize>,
@@ -329,7 +294,7 @@ impl Scanner<'_> {
                     return None;
                 }
                 let (vlo, vhi) = self.string()?;
-                self.op = Some(WireOp::from_bytes(&self.bytes[vlo..vhi])?);
+                self.op = Some(Op::from_name(&self.bytes[vlo..vhi])?);
             } else {
                 if entering_options {
                     // One `options` object: a forwarder splices the
@@ -383,7 +348,7 @@ mod tests {
         let s = ok(
             r#"{"op":"schedule","dag":{"weights":[1.0]},"algorithm":"HEFT","options":{"deadline_ms":250,"jobs":4}}"#,
         );
-        assert_eq!(s.op, WireOp::Schedule);
+        assert_eq!(s.op, Op::Schedule);
         assert_eq!(s.deadline_ms, Some(250));
     }
 
@@ -513,10 +478,10 @@ mod tests {
     #[test]
     fn all_four_scheduling_ops_are_eligible() {
         for (op, want) in [
-            ("schedule", WireOp::Schedule),
-            ("portfolio", WireOp::Portfolio),
-            ("schedule_many", WireOp::ScheduleMany),
-            ("patch", WireOp::Patch),
+            ("schedule", Op::Schedule),
+            ("portfolio", Op::Portfolio),
+            ("schedule_many", Op::ScheduleMany),
+            ("patch", Op::Patch),
         ] {
             let line = format!(r#"{{"op":"{op}","x":1}}"#);
             assert_eq!(ok(&line).op, want);

@@ -17,8 +17,8 @@ use hetsched::core::algorithms;
 use hetsched::dag::io::DagSpec;
 use hetsched::platform::SystemSpec;
 use hetsched::workloads::gauss::gaussian_elimination;
-use hetsched_gateway::{GatewayConfig, GatewayServer, LocalShards};
-use hetsched_serve::{ServeConfig, TcpServer};
+use hetsched_gateway::{GatewayConfig, GatewayServer, LocalShards, Router};
+use hetsched_serve::{ServeConfig, Service, TcpServer};
 
 const SYSTEM_JSON: &str = r#"{"processors": {"kind": "speeds", "speeds": [2.0, 1.0, 1.5]},
     "network": {"topology": "fully_connected", "startup": 0.5, "bandwidth": 1.0}}"#;
@@ -454,6 +454,104 @@ fn resent_parent_reseeds_the_shard_after_unknown_parent() {
     topo.shutdown();
 }
 
+/// A router over `shards`, driven in process through
+/// [`Router::handle_line`].
+fn router_over(shards: &LocalShards) -> Router {
+    Router::new(GatewayConfig {
+        backends: shards.addrs(),
+        ..Default::default()
+    })
+    .unwrap()
+}
+
+/// A `schedule_many` line over instances with the given DAG specs.
+fn many_request(dags: &[&str]) -> String {
+    let system = SYSTEM_JSON.replace('\n', "");
+    let instances: Vec<String> = dags
+        .iter()
+        .map(|dag| format!("{{\"dag\":{dag},\"system\":{system}}}"))
+        .collect();
+    format!(
+        "{{\"op\":\"schedule_many\",\"instances\":[{}],\"algorithm\":\"HEFT\"}}",
+        instances.join(",")
+    )
+}
+
+/// A request a shard refuses before scheduling anything, the gateway
+/// refuses at its front door: the two must answer with the same bytes,
+/// so a client cannot tell which tier turned it away.
+#[test]
+fn both_tiers_refuse_bad_requests_with_the_same_bytes() {
+    let mut shards = LocalShards::spawn(1, &shard_config()).unwrap();
+    let shard = shards.service(0).unwrap();
+    let router = router_over(&shards);
+
+    let system = SYSTEM_JSON.replace('\n', "");
+    let dag = serde_json::to_string(&dag_json(4)).unwrap();
+    let no_tasks = r#"{"tasks":[],"edges":[]}"#;
+    let no_procs = r#"{"processors":{"kind":"homogeneous","count":0},"network":{"topology":"fully_connected","bandwidth":1.0}}"#;
+    let schedule = |dag: &str, system: &str| {
+        format!(r#"{{"op":"schedule","dag":{dag},"system":{system},"algorithm":"HEFT"}}"#)
+    };
+    let patch = |parent: &str| {
+        format!(r#"{{"op":"patch","parent":"{parent}","algorithm":"HEFT","deltas":[]}}"#)
+    };
+    let grid = [
+        r#"{"op":"schedule","dag":"#.to_string(),
+        schedule(no_tasks, &system),
+        schedule(&dag, no_procs),
+        many_request(&[]),
+        many_request(&[&dag, no_tasks]),
+        patch("0123456789abcde"),
+        patch("0123456789abcdef0"),
+        patch("zzzzzzzzzzzzzzzz"),
+        patch("+123456789abcdef"),
+    ];
+    for line in &grid {
+        let direct = shard.handle_line_bytes(line);
+        let routed = router.handle_line(line, Instant::now());
+        assert_eq!(std::str::from_utf8(&direct).unwrap(), *routed, "{line}");
+        assert!(routed.starts_with(r#"{"status":"error""#), "{routed}");
+    }
+    shards.shutdown_all();
+}
+
+/// A `schedule_many` is an outcome of its own op on either tier, not a
+/// `schedule`.
+#[test]
+fn a_batch_counts_as_schedule_many_on_both_tiers() {
+    let mut shards = LocalShards::spawn(1, &shard_config()).unwrap();
+    let router = router_over(&shards);
+    let lone = Service::start(shard_config());
+    let dag = serde_json::to_string(&dag_json(4)).unwrap();
+    let line = many_request(&[&dag]);
+    let metrics = |reply: &str| -> String {
+        let v: serde_json::Value = serde_json::from_str(reply).unwrap();
+        v["metrics"].as_str().unwrap().to_string()
+    };
+
+    let direct = lone.handle_line_bytes(&line);
+    let direct = std::str::from_utf8(&direct).unwrap();
+    assert!(direct.starts_with(r#"{"status":"ok""#), "{direct}");
+    let routed = router.handle_line(&line, Instant::now());
+    assert!(routed.starts_with(r#"{"status":"ok""#), "{routed}");
+
+    let metrics_op = r#"{"op":"metrics"}"#;
+    let shard_text = metrics(std::str::from_utf8(&lone.handle_line_bytes(metrics_op)).unwrap());
+    let gateway_text = metrics(&router.handle_line(metrics_op, Instant::now()));
+    for (text, family) in [
+        (shard_text, "hetsched_op_outcomes_total"),
+        (gateway_text, "hetsched_gateway_op_outcomes_total"),
+    ] {
+        for (op, want) in [("schedule_many", 1), ("schedule", 0)] {
+            let series = format!("{family}{{op=\"{op}\",status=\"success\"}} {want}\n");
+            assert!(text.contains(&series), "no `{}` in\n{text}", series.trim());
+        }
+    }
+    lone.shutdown();
+    shards.shutdown_all();
+}
+
 /// A line whose bytes are not valid UTF-8 gets a structured `error` in
 /// request order; rewriting the bad byte to U+FFFD would have answered
 /// this `hello` with `ok`.
@@ -564,8 +662,7 @@ fn fake_shard(reply: Vec<u8>) -> String {
     addr
 }
 
-/// A gateway over `backends` that keeps a `shutdown` to itself, its
-/// address and its thread.
+/// A gateway over `backends`, its address and its thread.
 fn spawn_gateway(
     backends: Vec<String>,
 ) -> (
@@ -574,7 +671,6 @@ fn spawn_gateway(
 ) {
     let config = GatewayConfig {
         backends,
-        propagate_shutdown: false,
         ..Default::default()
     };
     let server = GatewayServer::bind("127.0.0.1:0", config).unwrap();

@@ -443,8 +443,11 @@ fn explain_summary(
         ("gap_fast_rejects", c.gap_fast_rejects),
         ("gap_cached_searches", c.gap_cached_searches),
         ("gap_full_scans", c.gap_full_scans),
+        ("gap_slots_visited", c.gap_slots_visited),
         ("append_queries", c.append_queries),
         ("timeline_inserts", c.timeline_inserts),
+        ("rank_memo_hits", c.rank_memo_hits),
+        ("rank_memo_misses", c.rank_memo_misses),
     ] {
         let _ = writeln!(out, "  {name:<22} {v}");
     }

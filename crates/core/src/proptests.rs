@@ -56,7 +56,7 @@ fn random_dag(n: usize, edge_prob: f64, seed: u64) -> Dag {
 fn gap_queries_match_scan(s: &Schedule, queries: &[(u16, u8, u8)]) -> TestCaseResult {
     for &(r, d, j) in queries {
         let ready = r as f64 * 0.5 + j as f64 * 0.3e-9;
-        let dur = d as f64 * 0.5 + j as f64 * 0.25e-9;
+        let dur = d as f64 * 0.125 + j as f64 * 0.25e-9;
         let fast = s.earliest_start(ProcId(0), ready, dur, true);
         let scan = Schedule::earliest_start_scan(s.slots(ProcId(0)), ready, dur);
         prop_assert_eq!(
@@ -177,36 +177,43 @@ proptest! {
 
     #[test]
     fn cached_gap_search_is_bit_identical_to_scan(
-        grid in proptest::collection::vec((0u16..200, 1u8..30), 0..24),
+        cells in proptest::collection::vec((0u16..1000, 0u8..9, 0u8..3), 60..200),
         trials in proptest::collection::vec(
-            (proptest::collection::vec((0u16..200, 0u8..30), 1..5), 0u8..2),
+            (proptest::collection::vec((0u16..200, 0u8..9), 1..5), 0u8..2),
             0..6,
         ),
-        queries in proptest::collection::vec((0u16..220, 0u8..40, 0u8..4), 1..24),
+        queries in proptest::collection::vec((0u16..900, 0u8..40, 0u8..4), 1..24),
     ) {
-        // Adversarial timelines: starts/durations snapped to a coarse grid
-        // with sub-TIME_EPS jitter, so slot boundaries collide exactly at
-        // the schedule's epsilon resolution — the regime where the indexed
-        // search could plausibly diverge from the scan by one rounding bit.
-        // The index is checked after every kind of timeline mutation:
-        // inserts, trials rolled back or committed, a bulk replay and a
-        // serde round trip.
-        let place = |s: &mut Schedule, t: u32, (start, dur): (u16, u8)| {
-            let st = start as f64 * 0.5 + (start % 3) as f64 * 0.4e-9;
+        // Adversarial timelines spanning several blocks of the gap index:
+        // cell `k` of a grid of pitch 2 holds one slot of up to the whole
+        // cell, its start jittered below TIME_EPS, so slot boundaries
+        // collide at the schedule's epsilon resolution and gap widths
+        // repeat query durations exactly — the regime where the indexed
+        // search could plausibly diverge from the scan by one rounding
+        // bit. Cells are filled in random order, not start order. The
+        // index is checked after every kind of timeline mutation: inserts,
+        // trials rolled back or committed, a bulk replay and a serde round
+        // trip.
+        let place = |s: &mut Schedule, t: u32, start: f64, d: u8| {
             // overlapping placements are simply skipped
-            let _ = s.insert(TaskId(t), ProcId(0), st, dur as f64 * 0.5);
+            let _ = s.insert(TaskId(t), ProcId(0), start, d as f64 * 0.25);
         };
-        let mut s = Schedule::new(64, 1);
+        let mut order: Vec<usize> = (0..cells.len()).collect();
+        order.sort_by_key(|&k| cells[k].0);
+        let mut s = Schedule::new(256, 1);
         let mut next = 0u32;
-        for &slot in &grid {
-            place(&mut s, next, slot);
+        for k in order {
+            let (_, d, j) = cells[k];
+            place(&mut s, next, k as f64 * 2.0 + j as f64 * 0.4e-9, d);
             next += 1;
         }
+        prop_assert!(s.slots(ProcId(0)).len() >= 60);
         gap_queries_match_scan(&s, &queries)?;
         for (slots, commit) in &trials {
             s.begin_trial();
-            for &slot in slots {
-                place(&mut s, next, slot);
+            for &(cell, d) in slots {
+                // mid-cell, into whatever gap the cell has left
+                place(&mut s, next, cell as f64 * 2.0 + 1.0, d / 2);
                 next += 1;
             }
             gap_queries_match_scan(&s, &queries)?;
@@ -221,7 +228,7 @@ proptest! {
             .map(TaskId)
             .filter(|&t| s.assignment(t).is_some())
             .collect();
-        let mut replayed = Schedule::new(64, 1);
+        let mut replayed = Schedule::new(256, 1);
         prop_assert!(replayed.replay_prefix(&s, &placed).is_ok());
         gap_queries_match_scan(&replayed, &queries)?;
         let back: Schedule = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();

@@ -13,11 +13,19 @@
 //! serialized wire format is the old array-of-slot-objects, byte for
 //! byte, via the manual serde impls below.
 //!
-//! Each timeline also keeps the gap search's index — the running maximum
-//! of finishes and of idle gaps, one entry per slot — and its three
-//! mutators recompute that index from the mutated slot onward, so the
-//! index can never be stale, and a deserialized timeline (rebuilt through
+//! Each timeline also keeps the gap search's index: per slot, the running
+//! maximum of finishes and of the idle gaps within the slot's block of
+//! 16, and per block, the widest gap before it. The search rejects a
+//! timeline with no wide enough gap in O(1), binary-searches to the first
+//! slot that starts late enough, and from there reads one maximum per
+//! block, scanning only the blocks whose widest gap could fit the task.
+//! The three mutators recompute the index from the mutated slot onward,
+//! so it can never be stale, and a deserialized timeline (rebuilt through
 //! `push`) has one too.
+//!
+//! Per task, the schedule keeps every copy's `(processor, finish)`. The
+//! first copy is stored inline, so placing a task allocates nothing; only
+//! a duplicate moves the task's list to the heap.
 
 use serde::{Deserialize, Serialize};
 
@@ -46,27 +54,41 @@ pub struct Slot {
     pub duplicate: bool,
 }
 
+/// Slots per block of a timeline's gap index: the gap search reads one
+/// block maximum before it reads any of the block's slots. A constant of
+/// the layout, not a tuning option.
+const GAP_BLOCK: usize = 16;
+
 /// One processor's occupied intervals, sorted by start time, stored
 /// struct-of-arrays.
 ///
-/// All six vectors always have equal length; index `i` across them is
-/// slot `i`. Mutation goes through the crate-internal `push`/`insert`/
+/// The four slot vectors always have equal length; index `i` across them
+/// is slot `i`. Mutation goes through the crate-internal `push`/`insert`/
 /// `remove`, which keep the arrays in lockstep; readers use the slice
 /// accessors ([`Timeline::starts`], [`Timeline::finishes`]) on hot paths
 /// and the [`Slot`]-view API ([`Timeline::get`], [`Timeline::iter`])
 /// everywhere else.
 ///
-/// The last two vectors are the gap search's index, derived from the
-/// slot times by `fill_gap_index`:
+/// The last three vectors are the gap search's index, derived from the
+/// slot times by `fill_gap_index`. Write `gap(j) = fl(fl(starts[j] +
+/// TIME_EPS) - prefix_max[j-1])` (with `prefix_max[-1] = 0`) for the idle
+/// gap before slot `j`, and cut the slots into blocks of `GAP_BLOCK`:
 ///
 /// * `prefix_max[i]` = running maximum of `finishes[..=i]` — exactly the
 ///   `prev_finish` value the reference scan holds after processing slot
 ///   `i` (finishes are *not* monotone: slots may overlap boundaries by up
 ///   to [`TIME_EPS`], so the last finish is not necessarily the largest).
-/// * `max_gap[i]` = running maximum, floored at 0, of
-///   `fl(starts[j] + TIME_EPS) - prefix_max[j-1]` over `j <= i` (with
-///   `prefix_max[-1] = 0`): an upper bound on every idle interval before
-///   slot `i + 1`.
+/// * `block_gap[i]` = maximum of `gap(j)` over the slots `j <= i` of `i`'s
+///   block; at a block's last slot it is the block's widest gap.
+/// * `gap_before[b]` = maximum, floored at 0, of `gap(j)` over every slot
+///   before block `b` (`gap_before[0] = 0`), so the widest gap of the
+///   whole timeline is `max(gap_before.last(), block_gap.last())`.
+///
+/// All three are running maxima, seeded at a block or slot boundary, so a
+/// mutation at slot `i` changes no entry before `i`: appending a slot or
+/// removing the last one costs O(1), as with a single running maximum. A
+/// per-block maximum of the gaps would not: removing a block's widest
+/// slot would refold the whole block.
 #[derive(Debug, Default, PartialEq)]
 pub struct Timeline {
     tasks: Vec<TaskId>,
@@ -74,10 +96,11 @@ pub struct Timeline {
     finishes: Vec<f64>,
     dups: Vec<bool>,
     prefix_max: Vec<f64>,
-    max_gap: Vec<f64>,
+    block_gap: Vec<f64>,
+    gap_before: Vec<f64>,
 }
 
-/// Manual so that `clone_from` recycles the six vectors' allocations —
+/// Manual so that `clone_from` recycles the seven vectors' allocations —
 /// the derive would fall back to `*self = source.clone()`, which
 /// re-allocates them all. Snapshot-heavy consumers (the branch-and-bound
 /// search clones a `Schedule` per branch node) depend on this to keep the
@@ -90,7 +113,8 @@ impl Clone for Timeline {
             finishes: self.finishes.clone(),
             dups: self.dups.clone(),
             prefix_max: self.prefix_max.clone(),
-            max_gap: self.max_gap.clone(),
+            block_gap: self.block_gap.clone(),
+            gap_before: self.gap_before.clone(),
         }
     }
 
@@ -100,35 +124,50 @@ impl Clone for Timeline {
         self.finishes.clone_from(&source.finishes);
         self.dups.clone_from(&source.dups);
         self.prefix_max.clone_from(&source.prefix_max);
-        self.max_gap.clone_from(&source.max_gap);
+        self.block_gap.clone_from(&source.block_gap);
+        self.gap_before.clone_from(&source.gap_before);
     }
 }
 
-/// Recompute entries `from..` of a timeline's gap index from its slot
-/// times, seeded with the entries at `from - 1` — one pass streaming
-/// `starts` and `finishes` in lockstep. With `from = 0` it is a
-/// from-scratch rebuild.
+/// The larger of two gaps (`a` on a tie). Gaps are never NaN.
+#[inline]
+fn wider(a: f64, b: f64) -> f64 {
+    if b > a {
+        b
+    } else {
+        a
+    }
+}
+
+/// Recompute the gap index from slot `from` on, seeded with the entries
+/// before it — one pass streaming `starts` and `finishes` in lockstep.
+/// With `from = 0` it is a from-scratch rebuild. The caller sizes the
+/// three index slices to the slot and block counts.
 fn fill_gap_index(
     starts: &[f64],
     finishes: &[f64],
     from: usize,
     prefix_max: &mut [f64],
-    max_gap: &mut [f64],
+    block_gap: &mut [f64],
+    gap_before: &mut [f64],
 ) {
-    let (mut prev, mut widest) = match from {
-        0 => (0.0f64, 0.0f64),
-        _ => (prefix_max[from - 1], max_gap[from - 1]),
+    let mut prev = match from {
+        0 => 0.0f64,
+        _ => prefix_max[from - 1],
     };
-    let slots = starts[from..].iter().zip(&finishes[from..]);
-    let index = prefix_max[from..].iter_mut().zip(&mut max_gap[from..]);
-    for ((&start, &finish), (pm, mg)) in slots.zip(index) {
-        let gap = (start + TIME_EPS) - prev;
-        if gap > widest {
-            widest = gap;
-        }
-        prev = prev.max(finish);
-        *pm = prev;
-        *mg = widest;
+    for k in from..starts.len() {
+        let gap = (starts[k] + TIME_EPS) - prev;
+        block_gap[k] = if k % GAP_BLOCK != 0 {
+            wider(block_gap[k - 1], gap)
+        } else {
+            if k > 0 {
+                let b = k / GAP_BLOCK;
+                gap_before[b] = wider(gap_before[b - 1], block_gap[k - 1]);
+            }
+            gap
+        };
+        prev = prev.max(finishes[k]);
+        prefix_max[k] = prev;
     }
 }
 
@@ -199,15 +238,18 @@ impl Timeline {
         self.finishes.last().copied().unwrap_or(0.0)
     }
 
-    /// Reserve capacity for exactly `additional` more slots in all six
-    /// arrays.
+    /// Reserve capacity for exactly `additional` more slots in every
+    /// array (and their blocks in `gap_before`).
     fn reserve_exact(&mut self, additional: usize) {
         self.tasks.reserve_exact(additional);
         self.starts.reserve_exact(additional);
         self.finishes.reserve_exact(additional);
         self.dups.reserve_exact(additional);
         self.prefix_max.reserve_exact(additional);
-        self.max_gap.reserve_exact(additional);
+        self.block_gap.reserve_exact(additional);
+        let blocks = (self.len() + additional).div_ceil(GAP_BLOCK);
+        self.gap_before
+            .reserve_exact(blocks.saturating_sub(self.gap_before.len()));
     }
 
     /// Append a slot (caller guarantees start-order).
@@ -247,13 +289,15 @@ impl Timeline {
     fn reindex_from(&mut self, from: usize) {
         let len = self.len();
         self.prefix_max.resize(len, 0.0);
-        self.max_gap.resize(len, 0.0);
+        self.block_gap.resize(len, 0.0);
+        self.gap_before.resize(len.div_ceil(GAP_BLOCK), 0.0);
         fill_gap_index(
             &self.starts,
             &self.finishes,
             from,
             &mut self.prefix_max,
-            &mut self.max_gap,
+            &mut self.block_gap,
+            &mut self.gap_before,
         );
         debug_assert!(
             self.gap_index_matches_rebuild(),
@@ -264,16 +308,22 @@ impl Timeline {
     /// Whether the kept gap index is bit-equal to one rebuilt from scratch.
     fn gap_index_matches_rebuild(&self) -> bool {
         let mut prefix_max = vec![0.0; self.len()];
-        let mut max_gap = vec![0.0; self.len()];
+        let mut block_gap = vec![0.0; self.len()];
+        let mut gap_before = vec![0.0; self.len().div_ceil(GAP_BLOCK)];
         fill_gap_index(
             &self.starts,
             &self.finishes,
             0,
             &mut prefix_max,
-            &mut max_gap,
+            &mut block_gap,
+            &mut gap_before,
         );
-        let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
-        same(&prefix_max, &self.prefix_max) && same(&max_gap, &self.max_gap)
+        let same = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        same(&prefix_max, &self.prefix_max)
+            && same(&block_gap, &self.block_gap)
+            && same(&gap_before, &self.gap_before)
     }
 }
 
@@ -388,8 +438,9 @@ pub struct Schedule {
     timelines: Vec<Timeline>,
     /// Per task: primary (proc, start, finish), if placed.
     primary: Vec<Option<(ProcId, f64, f64)>>,
-    /// Per task: every copy as (proc, finish), primary included.
-    copies: Vec<Vec<(ProcId, f64)>>,
+    /// Per task: every copy as (proc, finish), primary included, in
+    /// insertion order.
+    copies: Vec<Copies>,
     /// Undo log of the active trial (see [`Schedule::begin_trial`]); `None`
     /// outside a trial, so mutation off the trial path stays log-free.
     /// Ephemeral bookkeeping — always kept off the wire.
@@ -399,10 +450,10 @@ pub struct Schedule {
 
 /// Manual for the same reason as [`Timeline`]'s: `clone_from` must
 /// recycle every nested allocation (timelines with their gap indexes,
-/// per-task copy lists) instead of re-allocating them. `Vec::clone_from`
-/// reuses its own buffer *and* `clone_from`s each element in place, so
-/// the recursion bottoms out with zero allocations once a recycled
-/// schedule has seen its capacity high-water mark.
+/// spilled per-task copy lists) instead of re-allocating them.
+/// `Vec::clone_from` reuses its own buffer *and* `clone_from`s each
+/// element in place, so the recursion bottoms out with zero allocations
+/// once a recycled schedule has seen its capacity high-water mark.
 impl Clone for Schedule {
     fn clone(&self) -> Self {
         Schedule {
@@ -420,6 +471,87 @@ impl Clone for Schedule {
         self.primary.clone_from(&source.primary);
         self.copies.clone_from(&source.copies);
         self.trial.clone_from(&source.trial);
+    }
+}
+
+/// Every copy of one task as `(processor, finish)`, in insertion order (a
+/// duplicate may come before its primary).
+///
+/// The first copy is kept inline, so placing a task allocates nothing;
+/// only a second copy (a duplicate) spills the list to the heap, and a
+/// spilled list stays spilled, so a trial that rolls a duplicate back and
+/// adds it again reuses its buffer. Serialized as the plain array of
+/// `[proc, finish]` pairs a `Vec` would give.
+#[derive(Debug, Default)]
+enum Copies {
+    #[default]
+    None,
+    One((ProcId, f64)),
+    Many(Vec<(ProcId, f64)>),
+}
+
+impl Copies {
+    #[inline]
+    fn as_slice(&self) -> &[(ProcId, f64)] {
+        match self {
+            Copies::None => &[],
+            Copies::One(copy) => std::slice::from_ref(copy),
+            Copies::Many(copies) => copies,
+        }
+    }
+
+    fn push(&mut self, copy: (ProcId, f64)) {
+        match self {
+            Copies::None => *self = Copies::One(copy),
+            Copies::One(first) => *self = Copies::Many(vec![*first, copy]),
+            Copies::Many(copies) => copies.push(copy),
+        }
+    }
+
+    /// Drop the most recent copy (trial rollback).
+    fn pop(&mut self) {
+        match self {
+            Copies::None => {}
+            Copies::One(_) => *self = Copies::None,
+            Copies::Many(copies) => {
+                copies.pop();
+            }
+        }
+    }
+}
+
+/// Manual so that `clone_from` recycles a spilled list's buffer.
+impl Clone for Copies {
+    fn clone(&self) -> Self {
+        match self {
+            Copies::None => Copies::None,
+            Copies::One(copy) => Copies::One(*copy),
+            Copies::Many(copies) => Copies::Many(copies.clone()),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Copies::Many(copies), Copies::Many(from)) => copies.clone_from(from),
+            (this, _) => *this = source.clone(),
+        }
+    }
+}
+
+impl Serialize for Copies {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Array(self.as_slice().iter().map(|c| c.to_value()).collect())
+    }
+}
+
+impl Deserialize for Copies {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let copies: Vec<(ProcId, f64)> = Vec::from_value(v)?;
+        Ok(match copies.len() {
+            0 => Copies::None,
+            1 => Copies::One(copies[0]),
+            _ => Copies::Many(copies),
+        })
     }
 }
 
@@ -454,7 +586,7 @@ impl Schedule {
             n_tasks,
             timelines: vec![Timeline::default(); n_procs],
             primary: vec![None; n_tasks],
-            copies: vec![Vec::new(); n_tasks],
+            copies: vec![Copies::None; n_tasks],
             trial: None,
         }
     }
@@ -495,15 +627,16 @@ impl Schedule {
         self.primary[t.index()].map(|(p, _, _)| p)
     }
 
-    /// All copies of `t` as `(processor, finish)`, primary first.
+    /// All copies of `t` as `(processor, finish)`, in insertion order (a
+    /// duplicate placed before the primary comes first).
     #[inline]
     pub fn copies(&self, t: TaskId) -> &[(ProcId, f64)] {
-        &self.copies[t.index()]
+        self.copies[t.index()].as_slice()
     }
 
     /// Finish time of the copy of `t` on processor `p`, if one exists.
     pub fn finish_on(&self, t: TaskId, p: ProcId) -> Option<f64> {
-        self.copies[t.index()]
+        self.copies(t)
             .iter()
             .find(|&&(q, _)| q == p)
             .map(|&(_, f)| f)
@@ -622,43 +755,83 @@ impl Schedule {
     }
 
     /// Insertion-policy gap search over the kept index. Exactly equivalent
-    /// to [`Self::earliest_start_scan`] (same returned bits):
+    /// to [`Self::earliest_start_scan`] (same returned bits).
     ///
-    /// 1. **Fast reject.** The scan returns early at slot `i` only if
-    ///    `fl(candidate + dur) <= fl(start_i + TIME_EPS)` with
-    ///    `candidate >= prefix_max[i-1]`, which (allowing for rounding of
-    ///    the two additions and the indexed subtraction, all bounded by
-    ///    `3·scale·2⁻⁵³`, where `scale = prefix_max.last()` is the largest
-    ///    finish) forces `dur <= max_gap.last() + (scale+1)·1e-12`. When
-    ///    `dur` exceeds that padded bound no gap can accept it, and the
-    ///    scan's fall-through answer is `ready.max(scale)`.
-    /// 2. **Prefix skip.** For any slot with `fl(start + TIME_EPS) <
-    ///    fl(ready + dur)` the early-return test is false regardless of
-    ///    `prev_finish` (since `candidate >= ready`), so the scan is
-    ///    entered at the first slot where that (monotone) predicate flips,
-    ///    seeding `prev_finish` from the prefix maximum — the exact value
-    ///    the naive loop would hold there. The `partition_point` binary
-    ///    search runs directly on the contiguous `starts` array.
+    /// **The rounding pad.** Let `P = prefix_max[j-1]` (0 for `j = 0`),
+    /// `S = fl(starts[j] + TIME_EPS)` and `g = fl(S - P)`, slot `j`'s kept
+    /// gap. The scan answers at slot `j` only if `fl(c + dur) <= S` for
+    /// `c = max(ready, P) >= P`; rounding is monotone, so then
+    /// `fl(P + dur) <= S` too. `P`, `S` and `dur` are each at most `S <=
+    /// (scale + TIME_EPS)(1 + 2⁻⁵³)`, where `scale = prefix_max.last()` is
+    /// the largest finish (every start is at most its finish), so the two
+    /// roundings `fl(P + dur)` and `fl(S - P)` together move the result by
+    /// at most `3·(scale + TIME_EPS)·2⁻⁵³`. Hence `dur <= g + pad` with
+    /// `pad = (scale + 1)·1e-12`, with room to spare for rounding
+    /// `dur - pad` itself: a slot whose gap is below `dur - pad` can never
+    /// answer. The stored gap may sit a few ulps *below* `dur` at a slot
+    /// where the scan answers, so the pad is needed, not cautious.
+    ///
+    /// 1. **Fast reject.** By the same bound, when `dur` exceeds the
+    ///    widest gap of the whole timeline plus `pad`, no slot can answer
+    ///    and the scan's fall-through answer is `ready.max(scale)`.
+    /// 2. **Nothing starts late enough.** For any slot with `fl(start +
+    ///    TIME_EPS) < fl(ready + dur)` the scan's test is false whatever
+    ///    `prev_finish` is (since `candidate >= ready`). When the last
+    ///    start is such a slot, so is every slot, and the answer is again
+    ///    `ready.max(scale)`.
+    /// 3. **Prefix skip.** Otherwise the scan is entered at the first
+    ///    slot `lo` where that (monotone) predicate flips — a
+    ///    `partition_point` binary search over the contiguous `starts`
+    ///    array — seeding `prev_finish` from the prefix maximum, the exact
+    ///    value the naive loop would hold there.
+    /// 4. **Block skip.** From `lo` on, a block whose widest gap is below
+    ///    `dur - pad` holds no answer and is passed over after one read.
+    ///    A block that may hold one is scanned slot by slot with the
+    ///    scan's own test, `prev_finish` re-seeded from `prefix_max`, and
+    ///    the first slot where the test holds is the answer.
     fn earliest_start_indexed(tl: &Timeline, ready: f64, dur: f64) -> f64 {
-        let (Some(&scale), Some(&max_gap)) = (tl.prefix_max.last(), tl.max_gap.last()) else {
+        let (Some(&scale), Some(&last_start), Some(&head), Some(&tail)) = (
+            tl.prefix_max.last(),
+            tl.starts.last(),
+            tl.gap_before.last(),
+            tl.block_gap.last(),
+        ) else {
             return ready; // empty timeline
         };
-        if dur > max_gap + (scale + 1.0) * 1e-12 {
+        let pad = (scale + 1.0) * 1e-12;
+        let rd = ready + dur;
+        if dur > wider(head, tail) + pad || last_start + TIME_EPS < rd {
             hetsched_trace::counters(|k| k.gap_fast_rejects += 1);
             return ready.max(scale);
         }
-        hetsched_trace::counters(|k| k.gap_cached_searches += 1);
-        let rd = ready + dur;
-        let lo = tl.starts.partition_point(|&s| s + TIME_EPS < rd);
-        let mut prev_finish = if lo == 0 { 0.0 } else { tl.prefix_max[lo - 1] };
-        for (&start, &finish) in tl.starts[lo..].iter().zip(&tl.finishes[lo..]) {
-            let candidate = ready.max(prev_finish);
-            if candidate + dur <= start + TIME_EPS {
-                return candidate;
+        let floor = dur - pad;
+        let len = tl.len();
+        let mut k = tl.starts.partition_point(|&s| s + TIME_EPS < rd);
+        let mut visited = 0u64;
+        let mut found = None;
+        'blocks: while k < len {
+            let end = ((k / GAP_BLOCK + 1) * GAP_BLOCK).min(len);
+            visited += 1;
+            if tl.block_gap[end - 1] >= floor {
+                let mut prev_finish = if k == 0 { 0.0 } else { tl.prefix_max[k - 1] };
+                for (j, &start) in tl.starts[k..end].iter().enumerate() {
+                    let candidate = ready.max(prev_finish);
+                    if candidate + dur <= start + TIME_EPS {
+                        visited += j as u64 + 1;
+                        found = Some(candidate);
+                        break 'blocks;
+                    }
+                    prev_finish = tl.prefix_max[k + j];
+                }
+                visited += (end - k) as u64;
             }
-            prev_finish = prev_finish.max(finish);
+            k = end;
         }
-        ready.max(prev_finish)
+        hetsched_trace::counters(|c| {
+            c.gap_cached_searches += 1;
+            c.gap_slots_visited += visited;
+        });
+        found.unwrap_or_else(|| ready.max(scale))
     }
 
     /// Place the primary copy of `t` on `p` at `[start, start + dur)`.
@@ -1267,6 +1440,114 @@ mod tests {
         s.insert_with_finish(TaskId(1), ProcId(0), finish, finish)
             .unwrap();
         s.insert(TaskId(2), ProcId(0), 1.0, 1.0).unwrap();
+    }
+
+    #[test]
+    fn gap_search_keeps_the_rounding_pad_per_slot() {
+        // The kept gap before slot 1 is 2 ulps below `dur`, yet the scan
+        // answers in that gap: a skip that compared gaps with `dur`
+        // without the rounding pad would answer after slot 1 instead.
+        let mut s = Schedule::new(2, 1);
+        s.insert_with_finish(TaskId(0), ProcId(0), 0.0, 55.5000000008)
+            .unwrap();
+        s.insert_with_finish(TaskId(1), ProcId(0), 62.70414474556837, 63.70414474556837)
+            .unwrap();
+        let dur = 7.204144745768369;
+        let gap = (62.70414474556837 + TIME_EPS) - 55.5000000008;
+        assert_eq!(gap, 7.204144745768367);
+        assert!(gap < dur);
+        let scan = Schedule::earliest_start_scan(s.slots(ProcId(0)), 0.0, dur);
+        assert_eq!(scan, 55.5000000008);
+        assert_eq!(
+            s.earliest_start(ProcId(0), 0.0, dur, true).to_bits(),
+            scan.to_bits()
+        );
+    }
+
+    /// The schedule `copy_table_survives_every_path` checks, one copy
+    /// path per step.
+    fn copy_table_schedule() -> Schedule {
+        let (p0, p1, p2) = (ProcId(0), ProcId(1), ProcId(2));
+        let mut s = Schedule::new(6, 3);
+        s.insert(TaskId(0), p0, 0.0, 2.0).unwrap();
+        // a duplicate before its primary, and one after
+        s.insert_duplicate(TaskId(1), p1, 0.0, 1.5).unwrap();
+        s.insert(TaskId(1), p0, 2.0, 1.5).unwrap();
+        s.insert_duplicate(TaskId(0), p2, 0.0, 2.5).unwrap();
+        s.insert(TaskId(3), p1, 3.0, 1.0).unwrap();
+        // rolled back: a first copy, a second copy and a third copy
+        s.begin_trial();
+        s.insert(TaskId(5), p2, 3.5, 1.0).unwrap();
+        s.insert_duplicate(TaskId(3), p0, 5.0, 1.0).unwrap();
+        s.insert_duplicate(TaskId(0), p1, 4.0, 2.0).unwrap();
+        s.rollback_trial();
+        // committed: a primary and its duplicate
+        s.begin_trial();
+        s.insert(TaskId(2), p2, 2.5, 1.0).unwrap();
+        s.insert_duplicate(TaskId(2), p1, 1.5, 1.25).unwrap();
+        s.commit_trial();
+        s.insert(TaskId(4), p0, 3.5, 0.5).unwrap();
+        s
+    }
+
+    #[test]
+    fn copy_table_survives_every_path() {
+        // The serialized form as the `Vec`-per-task table wrote it.
+        const JSON: &str = concat!(
+            r#"{"n_tasks":6,"timelines":[[{"task":0,"start":0.0,"finish":2.0,"duplicate":false},"#,
+            r#"{"task":1,"start":2.0,"finish":3.5,"duplicate":false},"#,
+            r#"{"task":4,"start":3.5,"finish":4.0,"duplicate":false}],"#,
+            r#"[{"task":1,"start":0.0,"finish":1.5,"duplicate":true},"#,
+            r#"{"task":2,"start":1.5,"finish":2.75,"duplicate":true},"#,
+            r#"{"task":3,"start":3.0,"finish":4.0,"duplicate":false}],"#,
+            r#"[{"task":0,"start":0.0,"finish":2.5,"duplicate":true},"#,
+            r#"{"task":2,"start":2.5,"finish":3.5,"duplicate":false}]],"#,
+            r#""primary":[[0,0.0,2.0],[0,2.0,3.5],[2,2.5,3.5],[1,3.0,4.0],[0,3.5,4.0],null],"#,
+            r#""copies":[[[0,2.0],[2,2.5]],[[1,1.5],[0,3.5]],[[2,3.5],[1,2.75]],[[1,4.0]],[[0,4.0]],[]]}"#,
+        );
+        let (p0, p1, p2) = (ProcId(0), ProcId(1), ProcId(2));
+        let want: [&[(ProcId, f64)]; 6] = [
+            &[(p0, 2.0), (p2, 2.5)],
+            &[(p1, 1.5), (p0, 3.5)],
+            &[(p2, 3.5), (p1, 2.75)],
+            &[(p1, 4.0)],
+            &[(p0, 4.0)],
+            &[],
+        ];
+        let check = |s: &Schedule, what: &str| {
+            for (t, want) in want.iter().enumerate() {
+                assert_eq!(s.copies(TaskId(t as u32)), *want, "task {t} after {what}");
+            }
+            assert_eq!(serde_json::to_string(s).unwrap(), JSON, "after {what}");
+        };
+        let s = copy_table_schedule();
+        check(&s, "inserts and trials");
+
+        let back: Schedule = serde_json::from_str(JSON).unwrap();
+        check(&back, "a serde round trip");
+
+        // a used schedule whose lists differ in every shape
+        let mut used = Schedule::new(6, 3);
+        used.insert(TaskId(0), p1, 0.0, 1.0).unwrap();
+        used.insert(TaskId(2), p0, 0.0, 1.0).unwrap();
+        used.insert_duplicate(TaskId(2), p1, 1.0, 1.0).unwrap();
+        used.insert_duplicate(TaskId(2), p2, 0.0, 1.0).unwrap();
+        used.insert(TaskId(5), p2, 1.0, 1.0).unwrap();
+        used.clone_from(&s);
+        check(&used, "clone_from into a used schedule");
+        check(&s.clone(), "clone");
+
+        // replay keeps every replayed task's single copy, and nothing else
+        let mut replayed = Schedule::new(6, 3);
+        replayed.replay_prefix(&s, &[TaskId(3), TaskId(4)]).unwrap();
+        for t in 0..6 {
+            let want = if t == 3 || t == 4 { want[t] } else { &[] };
+            assert_eq!(
+                replayed.copies(TaskId(t as u32)),
+                want,
+                "task {t} after replay"
+            );
+        }
     }
 
     #[test]

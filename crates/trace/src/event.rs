@@ -104,14 +104,18 @@ pub struct Counters {
     pub drt_single_copy_preds: u64,
     /// Predecessors folded through the multi-copy (duplication) path.
     pub drt_multi_copy_preds: u64,
-    /// Insertion queries answered O(1) by the gap index's no-gap-fits
-    /// bound.
+    /// Insertion queries answered in O(1) by the gap index: no gap in the
+    /// timeline is wide enough, or every slot starts too early to end one.
     pub gap_fast_rejects: u64,
-    /// Insertion queries answered by the indexed prefix-skip search.
+    /// Insertion queries answered by the indexed block-skip search.
     pub gap_cached_searches: u64,
     /// Insertion queries answered by the full reference scan
     /// (reference-engine mode).
     pub gap_full_scans: u64,
+    /// Slots and block maxima the indexed searches read, summed over
+    /// `gap_cached_searches` (the O(1) answers read none).
+    #[serde(default)]
+    pub gap_slots_visited: u64,
     /// Append-policy (non-insertion) queries.
     pub append_queries: u64,
     /// Slots committed into timelines (speculative trials included).

@@ -89,6 +89,38 @@ fn optimized_engine_schedules_byte_identical_to_reference_across_grid() {
     }
 }
 
+/// The same conformance at the size the paper evaluates: one fig10-shaped
+/// instance (n = 1600, CCR 1, 8 processors) holds about 200 slots per
+/// timeline, so the gap search skips whole blocks of its index, which the
+/// grid above (at most about 25 slots per timeline) barely reaches.
+#[test]
+fn optimized_engine_matches_reference_at_the_paper_size() {
+    use hetsched::core::algorithms::by_name;
+    use hetsched::core::with_reference_engine;
+
+    let mut rng = StdRng::seed_from_u64(1600);
+    let dag = random_dag(&RandomDagParams::new(1600, 1.0, 1.0), &mut rng);
+    let sys = System::heterogeneous_random(&dag, 8, &EtcParams::range_based(1.0), &mut rng);
+    for name in ["HEFT", "CPOP", "ILS-H", "PEFT"] {
+        let alg = by_name(name).expect("registered");
+        let fast = alg.schedule(&dag, &sys);
+        let reference = with_reference_engine(|| alg.schedule(&dag, &sys));
+        assert_eq!(
+            slot_digest(&fast),
+            slot_digest(&reference),
+            "{name} diverged from the reference engine at n = 1600"
+        );
+        let widest = (0..sys.num_procs())
+            .map(|p| fast.slots(ProcId(p as u32)).len())
+            .max()
+            .unwrap_or(0);
+        assert!(
+            widest > 64,
+            "{name}: only {widest} slots on the fullest timeline"
+        );
+    }
+}
+
 /// The search schedulers, in cheap test configurations: GA and BNB fan
 /// out over the `par` layer, and ILS-D and DUP-HEFT run one in-place loop
 /// whatever `jobs` says. The boxed trait objects let one grid drive all
